@@ -120,7 +120,9 @@ func run() error {
 		close(churnDone)
 	}
 
-	server := &http.Server{Addr: *addr, Handler: svc.Handler()}
+	// ReadHeaderTimeout bounds how long a client may trickle request
+	// headers, so idle or slow connections cannot pin server goroutines.
+	server := &http.Server{Addr: *addr, Handler: svc.Handler(), ReadHeaderTimeout: 10 * time.Second}
 	serveDone := make(chan error, 1)
 	go func() { serveDone <- server.ListenAndServe() }()
 	log.Printf("serving on %s", *addr)

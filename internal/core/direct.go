@@ -139,16 +139,17 @@ type directState struct {
 	decWork     [][]int32
 	appliedBuf  []move
 	byDst       [][]move
-	dstSorted   []bool
+	dstTrim     []uint8
 
-	// Dense pair-histogram scratch (k <= densePairK): per-shard (fixed
-	// vertex-range, see histShardCount — NOT per-worker, so the fold layout
-	// survives any Parallelism) and merged accumulators plus the per-pair
-	// probability tables, all reused across iterations so the move protocol
-	// performs no map operations. Resized when a warm session grows |D|.
-	pairAccs  []*pairAcc
-	pairMerge *pairAcc
-	probTabs  []ProbTable
+	// pairs holds the per-direction gain histograms and their cached
+	// probability tables, maintained across iterations and session epochs
+	// (see pairHists).
+	pairs *pairHists
+
+	// objective is the current objective value, maintained from the
+	// kernel's per-query change records (see foldObjective) and re-derived
+	// from scratch whenever the neighbor data was not patched through them.
+	objective float64
 
 	// Migration-budget state (nil/inactive unless Options.MigrationBudget is
 	// set and an epoch reference exists): migRef is the epoch-start
@@ -181,6 +182,13 @@ type proposalCand struct {
 	acc  float64
 }
 
+// Per-destination trim states of applyMoves' balance trim.
+const (
+	trimUnsorted  = iota // arrivals not yet sorted by gain
+	trimSorted           // arrivals sorted, lowest gain first
+	trimExhausted        // over cap with no arrivals left to undo
+)
+
 // Pending-work levels in the refiners' active vectors (directState.active
 // and bisection.active share the scheme).
 const (
@@ -195,85 +203,216 @@ const (
 // state, so the threshold is a pure performance knob.
 const sweepFallbackDiv = 8
 
-// densePairK bounds the dense (from, to) pair index space: k*k int32 slots
-// per shard accumulator. Beyond it the histogram protocol falls back to
-// maps; both containers hold identical histograms, so results do not depend
-// on the choice.
+// densePairK bounds the dense (from, to) slot index: k*k int32 entries.
+// Beyond it the index is a map holding only the directions in use; both
+// index the same maintained histograms, so results do not depend on the
+// choice.
 const densePairK = 128
 
-// histShardMin/histShardMax fix the pair-histogram fold decomposition as a
-// function of the vertex count ALONE: proposals are accumulated into
-// per-shard partial histograms over fixed contiguous vertex ranges (one
-// shard per histShardMin vertices, capped at histShardMax to bound the
-// k²-sized accumulators), then merged in ascending shard order. Histogram
-// sums are float folds, so their boundaries must never move with the worker
-// count — workers only decide who computes which shard. The cap and floor
-// are pure performance knobs; any fixed layout yields worker-count-
-// independent bits.
-const (
-	histShardMin = 2048
-	histShardMax = 32
-)
+// pairHists is SHP-k's per-direction gain histograms — the master's state
+// in Section 3.4 — maintained across iterations and session epochs instead
+// of re-accumulated from all of |D| every iteration.
+//
+// Every vertex records the direction slot and the gain it last contributed.
+// At the end of each proposal pass, computeProposals passes the vertices it
+// visited (the frontier, or all of |D| after a full or forced sweep) to
+// update serially in ascending vertex order; for each whose (direction,
+// gain) differs from its record, update removes the old gain, adds the new
+// one, and marks both directions dirty. Unchanged vertices are skipped outright — the filter
+// every path must share, because sum -= g; sum += g is not a float no-op.
+// match then re-runs the pairing only for unordered bucket pairs with a
+// dirty side and keeps every other pair's cached probability tables.
+//
+// Bit-identity: with zero extras MatchHistograms and MatchSimple give the
+// same tables whichever direction plays A, so the pair order is free. For
+// the default P and the fanout and clique-net objectives every gain lies
+// on the dyadic grid (gainGridBits), so maintained bin sums equal a
+// from-scratch accumulation in any order. Off the grid (non-dyadic P,
+// MoveCostPenalty) the sums carry round-off, but the one canonical update
+// order makes them — and everything downstream — independent of the worker
+// count, and identical between the incremental and the DisableIncremental
+// paths: vertices outside the frontier provably kept their proposal, so
+// both paths apply the same update sequence.
+//
+// A direction takes a slot on first use and gives it back once its
+// histogram is empty, so only directions actually proposed hold a 2 KiB
+// histogram. Slots are indexed densely by from·k+to for k <= densePairK and
+// through a map (looked up, never iterated) beyond it.
+type pairHists struct {
+	k     int32
+	dense []int32          // k <= densePairK: from*k+to -> slot, -1 when unused
+	index map[uint64]int32 // k > densePairK: pairKey(from, to) -> slot
 
-// histShardCount returns the fixed pair-histogram shard count for nd
-// vertices.
-func histShardCount(nd int) int {
-	s := nd / histShardMin
-	if s < 1 {
-		s = 1
+	// Per-slot state: the direction, the slot of its reverse (-1 when that
+	// direction holds no slot), the histogram, the cached probability table,
+	// and the pending-rematch flag.
+	key   []uint64
+	rev   []int32
+	hists []DirHist
+	probs []ProbTable
+	dirty []bool
+
+	dirtyList []int32 // dirty slots in marking order
+	free      []int32 // released slots, reused last-in first-out
+
+	dir []int32   // vertex -> recorded slot, -1 when it proposes nothing
+	rec []float64 // vertex -> recorded gain
+}
+
+// pairKey packs an ordered (from, to) bucket pair.
+func pairKey(from, to int32) uint64 {
+	return uint64(uint32(from))<<32 | uint64(uint32(to))
+}
+
+func newPairHists(k, nd int) *pairHists {
+	ph := &pairHists{k: int32(k)}
+	if k <= densePairK {
+		ph.dense = make([]int32, k*k)
+		for i := range ph.dense {
+			ph.dense[i] = -1
+		}
+	} else {
+		ph.index = make(map[uint64]int32)
 	}
-	if s > histShardMax {
-		s = histShardMax
+	ph.grow(nd)
+	return ph
+}
+
+// grow extends the per-vertex records to nd vertices; new vertices propose
+// nothing until their first reconcile.
+func (ph *pairHists) grow(nd int) {
+	for len(ph.dir) < nd {
+		ph.dir = append(ph.dir, -1)
+		ph.rec = append(ph.rec, 0)
+	}
+}
+
+// slot returns the slot of direction (from, to), or -1 when it has none.
+func (ph *pairHists) slot(from, to int32) int32 {
+	if ph.dense != nil {
+		return ph.dense[from*ph.k+to]
+	}
+	if s, ok := ph.index[pairKey(from, to)]; ok {
+		return s
+	}
+	return -1
+}
+
+func (ph *pairHists) setSlot(from, to, s int32) {
+	if ph.dense != nil {
+		ph.dense[from*ph.k+to] = s
+	} else if s < 0 {
+		delete(ph.index, pairKey(from, to))
+	} else {
+		ph.index[pairKey(from, to)] = s
+	}
+}
+
+// alloc gives direction (from, to) a slot with an empty histogram and links
+// it with its reverse direction's slot.
+func (ph *pairHists) alloc(from, to int32) int32 {
+	var s int32
+	if n := len(ph.free); n > 0 {
+		s = ph.free[n-1]
+		ph.free = ph.free[:n-1]
+	} else {
+		s = int32(len(ph.key))
+		ph.key = append(ph.key, 0)
+		ph.rev = append(ph.rev, -1)
+		ph.hists = append(ph.hists, DirHist{})
+		ph.probs = append(ph.probs, ProbTable{})
+		ph.dirty = append(ph.dirty, false)
+	}
+	ph.key[s] = pairKey(from, to)
+	ph.setSlot(from, to, s)
+	r := ph.slot(to, from)
+	ph.rev[s] = r
+	if r >= 0 {
+		ph.rev[r] = s
 	}
 	return s
 }
 
-// pairAcc accumulates per-direction gain histograms in dense
-// generation-stamped slots indexed by from*k+to. reset is O(1); slots are
-// (re)zeroed lazily on first touch.
-type pairAcc struct {
-	gen   []int32
-	slot  []int32
-	genC  int32
-	keys  []int32 // touched pair indices, first-encounter order
-	hists []DirHist
+// release returns an empty slot to the free list and unlinks its reverse.
+func (ph *pairHists) release(s int32) {
+	from, to := int32(ph.key[s]>>32), int32(uint32(ph.key[s]))
+	ph.setSlot(from, to, -1)
+	if r := ph.rev[s]; r >= 0 {
+		ph.rev[r] = -1
+	}
+	ph.rev[s] = -1
+	ph.hists[s] = DirHist{}
+	ph.probs[s] = ProbTable{}
+	ph.free = append(ph.free, s)
 }
 
-func newPairAcc(k int) *pairAcc {
-	return &pairAcc{gen: make([]int32, k*k), slot: make([]int32, k*k)}
+func (ph *pairHists) markDirty(s int32) {
+	if !ph.dirty[s] {
+		ph.dirty[s] = true
+		ph.dirtyList = append(ph.dirtyList, s)
+	}
 }
 
-func (a *pairAcc) reset() {
-	a.genC++
-	a.keys = a.keys[:0]
-	a.hists = a.hists[:0]
+// update reconciles vertex v, currently in bucket from and proposing to
+// (-1 for no proposal) with the given gain, against its record.
+func (ph *pairHists) update(v, from, to int32, gain float64) {
+	old := ph.dir[v]
+	s := int32(-1)
+	if to >= 0 {
+		s = ph.slot(from, to)
+		if s >= 0 && s == old && ph.rec[v] == gain {
+			return
+		}
+	} else if old < 0 {
+		return
+	}
+	if old >= 0 {
+		ph.hists[old].Remove(ph.rec[v])
+		ph.markDirty(old)
+	}
+	if to >= 0 {
+		if s < 0 {
+			s = ph.alloc(from, to)
+		}
+		ph.hists[s].Add(gain)
+		ph.markDirty(s)
+	}
+	ph.dir[v] = s
+	ph.rec[v] = gain
 }
 
-// at returns the histogram for pair index idx, allocating its slot on first
-// touch. The pointer must not be retained across calls (the backing array
-// may grow).
-func (a *pairAcc) at(idx int32) *DirHist {
-	if a.gen[idx] != a.genC {
-		a.gen[idx] = a.genC
-		a.slot[idx] = int32(len(a.keys))
-		a.keys = append(a.keys, idx)
-		if n := len(a.hists); n < cap(a.hists) {
-			a.hists = a.hists[:n+1]
-			a.hists[n] = DirHist{}
+// match recomputes the probability tables of every unordered pair with a
+// dirty side, then releases the directions left empty.
+func (ph *pairHists) match(simple bool) {
+	var empty DirHist
+	for _, s := range ph.dirtyList {
+		if !ph.dirty[s] {
+			continue // already matched as the reverse side of its pair
+		}
+		r := ph.rev[s]
+		rh := &empty
+		if r >= 0 {
+			rh = &ph.hists[r]
+		}
+		var pa, pb ProbTable
+		if simple {
+			pa, pb = MatchSimple(&ph.hists[s], rh, 0, 0)
 		} else {
-			a.hists = append(a.hists, DirHist{})
+			pa, pb = MatchHistograms(&ph.hists[s], rh, 0, 0)
+		}
+		ph.probs[s] = pa
+		ph.dirty[s] = false
+		if r >= 0 {
+			ph.probs[r] = pb
+			ph.dirty[r] = false
 		}
 	}
-	return &a.hists[a.slot[idx]]
-}
-
-// lookup returns the histogram for idx, or nil if the pair was not touched
-// since the last reset.
-func (a *pairAcc) lookup(idx int32) *DirHist {
-	if a.gen[idx] != a.genC {
-		return nil
+	for _, s := range ph.dirtyList {
+		if ph.hists[s].Total() == 0 {
+			ph.release(s)
+		}
 	}
-	return &a.hists[a.slot[idx]]
+	ph.dirtyList = ph.dirtyList[:0]
 }
 
 // newDirectState prepares the refiner. spans gives each bucket's final
@@ -339,6 +478,7 @@ func newDirectState(g *hypergraph.Bipartite, opts Options, seed uint64, spans []
 	st.wdegArr = make([]float64, nd)
 
 	st.nd = newNDState(g, k, st.workers, !opts.DisableIncremental)
+	st.pairs = newPairHists(k, nd)
 	if g.QueryWeighted() {
 		st.qw = make([]float64, nq)
 		for q := range st.qw {
@@ -439,17 +579,24 @@ func (st *directState) enforceMigrationBudget(list []int32, remaining int64) []i
 	return out
 }
 
-// randomInit cuts a random permutation at the per-bucket weight targets,
-// giving near-perfect initial balance for any span distribution.
+// randomInit cuts a random permutation at the cumulative per-bucket weight
+// targets: laid end to end, each vertex goes to the bucket whose cumulative
+// target range holds the midpoint of its own weight interval. Cutting at
+// cumulative (not per-bucket) targets keeps rounding drift from piling up
+// in the last bucket: every bucket ends within one vertex weight of its
+// target (at most ⌈target⌉ vertices on unit weights), and when targets fall
+// below one vertex (K >= |D|) the vertices spread one per bucket instead of
+// all landing in bucket k−1.
 func (st *directState) randomInit() {
 	order := rng.NewStream(st.seed, 0xD1CE).Perm(st.g.NumData())
 	c := 0
 	var acc float64
+	bound := st.targetW[0]
 	for _, v := range order {
 		wv := float64(st.g.DataWeight(int32(v)))
-		for c < st.k-1 && acc+wv/2 >= st.targetW[c] {
+		for c < st.k-1 && acc+wv/2 >= bound {
 			c++
-			acc = 0
+			bound += st.targetW[c]
 		}
 		st.bucket[v] = int32(c)
 		acc += wv
@@ -519,7 +666,10 @@ func (st *directState) buildNeighborData() {
 	ndBuild(st.nd, st.g, st.workers, st.k, st.bucket)
 }
 
-// objectiveFromND sums the objective over the current neighbor data.
+// objectiveFromND sums the objective over the current neighbor data. The
+// refiner maintains the same value incrementally (foldObjective); this
+// from-scratch sum seeds it at the start of every refine and re-derives it
+// whenever the neighbor data changed without change records.
 func (st *directState) objectiveFromND() float64 {
 	nq := st.g.NumQueries()
 	return par.SumFloat64(nq, st.workers, func(start, end int) float64 {
@@ -532,6 +682,33 @@ func (st *directState) objectiveFromND() float64 {
 		}
 		return sum
 	})
+}
+
+// foldObjective adds the last move batch's objective change to
+// st.objective: wq·(C[new]−C[old]) for every change record of every dirty
+// query, folded in ascending query order. Contribution values lie on the
+// dyadic grid, so the maintained value is bit-identical to objectiveFromND
+// in the exact regime; the canonical order keeps it independent of the
+// worker count (which decides the owner layout of the records) beyond it.
+func (st *directState) foldObjective() {
+	for dw := range st.nd.delta {
+		groups := st.nd.delta[dw].groups
+		// Owners hold ascending query ranges, so sorting each owner's groups
+		// makes the whole walk ascending. Group order is free for every other
+		// consumer: the member patches are exact.
+		slices.SortFunc(groups, func(a, b changeGroup) int { return int(a.q - b.q) })
+		recs := st.nd.delta[dw].recs
+		for _, grp := range groups {
+			wq := 1.0
+			if st.qw != nil {
+				wq = st.qw[grp.q]
+			}
+			for _, r := range recs[grp.off : grp.off+grp.n] {
+				c := st.tables[r.B].C
+				st.objective += wq * (c[r.CNew] - c[r.COld])
+			}
+		}
+	}
 }
 
 // fanoutFromND returns the average fanout implied by the neighbor data.
@@ -746,7 +923,9 @@ func (st *directState) selectProposal(v int) (int32, float64) {
 // mode), then run the balance-filtered argmax. On unit-weight graphs the
 // argmax of an untouched vertex is skipped entirely when the per-bucket
 // admissibility vector is unchanged from the previous iteration — its
-// cached target and gain are exactly what a re-run would produce.
+// cached target and gain are exactly what a re-run would produce. Finally
+// the pass's vertices are reconciled into the maintained pair histograms
+// in ascending order (see pairHists).
 func (st *directState) computeProposals() {
 	nd := st.g.NumData()
 	scratch := st.proposalScratches()
@@ -778,6 +957,9 @@ func (st *directState) computeProposals() {
 		st.gainWork += work
 		st.scanWork += int64(len(f))
 		st.lastFrontier = int64(len(f))
+		for _, v := range f {
+			st.pairs.update(v, st.bucket[v], st.target[v], st.gains[v])
+		}
 		return
 	}
 	par.ForWorker(nd, st.workers, func(w, start, end int) {
@@ -797,6 +979,9 @@ func (st *directState) computeProposals() {
 	st.gainWork += work
 	st.scanWork += int64(nd)
 	st.lastFrontier = int64(nd)
+	for v := int32(0); v < int32(nd); v++ {
+		st.pairs.update(v, st.bucket[v], st.target[v], st.gains[v])
+	}
 }
 
 // refreshAdmissibility recomputes the per-bucket unit-weight admissibility
@@ -830,194 +1015,22 @@ func (st *directState) markAllActive() {
 	st.frontierValid = false // marks now cover everyone, not a frontier
 }
 
-// pairKey packs an ordered (from, to) bucket pair.
-func pairKey(from, to int32) uint64 {
-	return uint64(uint32(from))<<32 | uint64(uint32(to))
-}
+// iterHook, when non-nil, observes the engine once per iteration right
+// after the pairing step. It is a test seam for checking the maintained
+// state against from-scratch references; production code never sets it.
+var iterHook func(st *directState)
 
-// matchDense aggregates the proposals into per-direction gain histograms and
-// runs the pairing protocol over dense, reused pair slots — no map
-// operations anywhere near the per-vertex loops. Requires k <= densePairK.
-// Accumulation runs over the fixed histogram shards (see histShardCount) and
-// merges them in ascending shard order, so both the histogram float folds
-// and the first-encounter order of the merged pair keys depend only on the
-// vertex count — never on how many workers executed the shards.
-func (st *directState) matchDense() func(from, tgt int32) *ProbTable {
-	nd := st.g.NumData()
-	k := int32(st.k)
-	bounds := par.ForShards(nd, histShardCount(nd))
-	shards := len(bounds)
-	if len(st.pairAccs) != shards {
-		st.pairAccs = make([]*pairAcc, shards)
-	}
-	if st.pairMerge == nil {
-		st.pairMerge = newPairAcc(st.k)
-	}
-	par.For(shards, st.workers, func(s, e int) {
-		for sh := s; sh < e; sh++ {
-			acc := st.pairAccs[sh]
-			if acc == nil {
-				acc = newPairAcc(st.k)
-				st.pairAccs[sh] = acc
-			}
-			acc.reset()
-			for v := bounds[sh].Start; v < bounds[sh].End; v++ {
-				tgt := st.target[v]
-				if tgt < 0 {
-					continue
-				}
-				acc.at(st.bucket[v]*k + tgt).Add(st.gains[v])
-			}
-		}
-	})
-	m := st.pairMerge
-	m.reset()
-	for _, acc := range st.pairAccs {
-		if acc == nil {
-			continue
-		}
-		for i, idx := range acc.keys {
-			m.at(idx).Merge(&acc.hists[i])
-		}
-	}
-
-	if cap(st.probTabs) < len(m.keys) {
-		st.probTabs = make([]ProbTable, len(m.keys))
-	}
-	probs := st.probTabs[:len(m.keys)]
-	processed := make([]bool, len(m.keys))
-	var empty DirHist
-	for si, idx := range m.keys {
-		if processed[si] {
-			continue
-		}
-		from := idx / k
-		to := idx % k
-		ridx := to*k + from
-		rh := m.lookup(ridx)
-		h := &m.hists[si]
-		if rh == nil {
-			rh = &empty
-		}
-		var pa, pb ProbTable
-		if st.opts.Pairing == PairSimple {
-			pa, pb = MatchSimple(h, rh, 0, 0)
-		} else {
-			pa, pb = MatchHistograms(h, rh, 0, 0)
-		}
-		probs[si] = pa
-		processed[si] = true
-		if rh != &empty {
-			rsi := m.slot[ridx]
-			probs[rsi] = pb
-			processed[rsi] = true
-		}
-	}
-	return func(from, tgt int32) *ProbTable {
-		idx := from*k + tgt
-		if m.gen[idx] != m.genC {
-			return nil
-		}
-		return &probs[m.slot[idx]]
-	}
-}
-
-// matchSparse is the map-keyed fallback for large k, where k*k index arrays
-// would outgrow the caches. It computes exactly the same histograms and
-// probability tables as matchDense, over the same fixed shard layout:
-// per-shard partial maps merged in ascending shard order (key-ascending
-// within each shard), so the float folds are worker-count independent here
-// too.
-func (st *directState) matchSparse() func(from, tgt int32) *ProbTable {
-	nd := st.g.NumData()
-	bounds := par.ForShards(nd, histShardCount(nd))
-	partials := make([]map[uint64]*DirHist, len(bounds))
-	par.For(len(bounds), st.workers, func(s, e int) {
-		for sh := s; sh < e; sh++ {
-			m := make(map[uint64]*DirHist)
-			for v := bounds[sh].Start; v < bounds[sh].End; v++ {
-				tgt := st.target[v]
-				if tgt < 0 {
-					continue
-				}
-				key := pairKey(st.bucket[v], tgt)
-				h := m[key]
-				if h == nil {
-					h = &DirHist{}
-					m[key] = h
-				}
-				h.Add(st.gains[v])
-			}
-			partials[sh] = m
-		}
-	})
-	hists := make(map[uint64]*DirHist)
-	for _, m := range partials {
-		for _, key := range sortedDirKeys(m) {
-			h := m[key]
-			if g, ok := hists[key]; ok {
-				g.Merge(h)
-			} else {
-				hists[key] = h
-			}
-		}
-	}
-
-	var empty DirHist
-	probs := make(map[uint64]*ProbTable, len(hists))
-	// Key-ascending so the lower direction key always plays the A side of
-	// the matcher and the probability tables are bit-reproducible.
-	for _, key := range sortedDirKeys(hists) {
-		h := hists[key]
-		if _, done := probs[key]; done {
-			continue
-		}
-		from := int32(key >> 32)
-		to := int32(uint32(key))
-		rkey := pairKey(to, from)
-		rh := hists[rkey]
-		if rh == nil {
-			rh = &empty
-		}
-		var pa, pb ProbTable
-		if st.opts.Pairing == PairSimple {
-			pa, pb = MatchSimple(h, rh, 0, 0)
-		} else {
-			pa, pb = MatchHistograms(h, rh, 0, 0)
-		}
-		probs[key] = &pa
-		if rh != &empty {
-			probs[rkey] = &pb
-		}
-	}
-	return func(from, tgt int32) *ProbTable {
-		return probs[pairKey(from, tgt)]
-	}
-}
-
-// sortedDirKeys returns m's direction keys in ascending order, so histogram
-// merges and pair matching never run in map iteration order.
-func sortedDirKeys(m map[uint64]*DirHist) []uint64 {
-	keys := make([]uint64, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
-	}
-	slices.Sort(keys)
-	return keys
-}
-
-// applyMoves aggregates proposals into per-direction gain histograms (the
-// master's O(k²)-bounded state, kept sparse here), computes move
-// probabilities, and executes the probabilistic moves. It returns the moves
-// that survived the balance trim, in ascending vertex order.
+// applyMoves re-matches the bucket pairs whose direction histograms changed
+// (the master's O(k²)-bounded state, maintained in st.pairs), and executes
+// the probabilistic moves. It returns the moves that survived the balance
+// trim, in ascending vertex order.
 func (st *directState) applyMoves(iter int) []move {
 	nd := st.g.NumData()
-	var probOf func(from, tgt int32) *ProbTable
-	if st.k <= densePairK {
-		probOf = st.matchDense()
-	} else {
-		probOf = st.matchSparse()
+	st.pairs.match(st.opts.Pairing == PairSimple)
+	if iterHook != nil {
+		iterHook(st)
 	}
+	dir, probs := st.pairs.dir, st.pairs.probs
 
 	// Phase 1 (parallel): per-vertex coin decisions, collected into
 	// per-worker lists. par.ForWorker hands out contiguous ascending ranges
@@ -1042,15 +1055,11 @@ func (st *directState) applyMoves(iter int) []move {
 	par.ForWorker(nd, st.workers, func(w, start, end int) {
 		buf := st.decWork[w]
 		for v := start; v < end; v++ {
-			tgt := st.target[v]
-			if tgt < 0 {
+			s := dir[v]
+			if s < 0 {
 				continue
 			}
-			pt := probOf(st.bucket[v], tgt)
-			if pt == nil {
-				continue
-			}
-			p := pt.ProbFor(st.gains[v])
+			p := probs[s].ProbFor(st.gains[v])
 			if p <= 0 {
 				continue
 			}
@@ -1073,19 +1082,22 @@ func (st *directState) applyMoves(iter int) []move {
 	// Phase 2 (serial, deterministic): apply all decided moves (so opposing
 	// flows cancel), then undo the lowest-gain arrivals of over-cap buckets
 	// until every cap holds again. Undone vertices return to their origin,
-	// which held them at iteration start, so the undo loop terminates with
-	// all caps satisfied. Arrivals are grouped by destination bucket in one
-	// pass over the applied moves: a decided vertex's bucket only changes
-	// when it is itself undone (clearing its decided flag), so the groups
-	// stay valid for the whole trim.
+	// which held them at iteration start, so every bucket ends at or below
+	// max(cap, its iteration-start weight): one that is still over cap with
+	// no arrivals left to undo (a violation it started the iteration with,
+	// e.g. a granular cold cut or a warm start) is passed over, and the trim
+	// goes on with the other buckets. Arrivals are grouped by destination
+	// bucket in one pass over the applied moves: a decided vertex's bucket
+	// only changes when it is itself undone (clearing its decided flag), so
+	// the groups stay valid for the whole trim.
 	applied := st.appliedBuf[:0]
 	if st.byDst == nil {
 		st.byDst = make([][]move, st.k)
-		st.dstSorted = make([]bool, st.k)
+		st.dstTrim = make([]uint8, st.k)
 	}
 	for c := range st.byDst {
 		st.byDst[c] = st.byDst[c][:0]
-		st.dstSorted[c] = false
+		st.dstTrim[c] = trimUnsorted
 	}
 	byDst := st.byDst
 	for _, v := range list {
@@ -1100,11 +1112,11 @@ func (st *directState) applyMoves(iter int) []move {
 		byDst[tgt] = append(byDst[tgt], m)
 	}
 	st.scanWork += int64(len(list))
-	sorted := st.dstSorted
+	trim := st.dstTrim
 	for {
 		over := int32(-1)
 		for c := 0; c < st.k; c++ {
-			if float64(st.bucketW[c]) > st.capW[c] {
+			if trim[c] != trimExhausted && float64(st.bucketW[c]) > st.capW[c] {
 				over = int32(c)
 				break
 			}
@@ -1113,7 +1125,7 @@ func (st *directState) applyMoves(iter int) []move {
 			break
 		}
 		arrivals := byDst[over]
-		if !sorted[over] {
+		if trim[over] == trimUnsorted {
 			slices.SortFunc(arrivals, func(a, b move) int {
 				ga, gb := st.gains[a.v], st.gains[b.v]
 				if ga < gb {
@@ -1124,7 +1136,7 @@ func (st *directState) applyMoves(iter int) []move {
 				}
 				return int(a.v - b.v)
 			})
-			sorted[over] = true
+			trim[over] = trimSorted
 		}
 		any := false
 		for _, m := range arrivals {
@@ -1142,7 +1154,7 @@ func (st *directState) applyMoves(iter int) []move {
 			decided[m.v] = false
 		}
 		if !any {
-			break // pre-existing violation (warm start); nothing to undo
+			trim[over] = trimExhausted // pre-existing violation; nothing to undo
 		}
 	}
 	accepted := applied[:0]
@@ -1191,6 +1203,11 @@ func (st *directState) applyNDDeltas(accepted []move) {
 	}
 	patch := len(accepted)*sweepFallbackDiv < nd
 	ndApplyMoveBatch(st.nd, st.g, w, accepted, st.bucket, patch)
+	if patch {
+		st.foldObjective()
+	} else {
+		st.objective = st.objectiveFromND() // a sweep batch leaves no records
+	}
 
 	// Clear the previous batch's marks through the frontier they form (the
 	// marked set IS the frontier while frontierValid); a full clear is only
@@ -1352,14 +1369,16 @@ func (st *directState) refine() {
 	}
 	full := st.opts.DisableIncremental
 	rebuildEvery := st.opts.NDRebuildEvery
+	st.objective = st.objectiveFromND()
 	for iter := 0; ; iter++ {
 		if iter > 0 {
 			if full || (rebuildEvery > 0 && iter%rebuildEvery == 0) {
 				st.buildNeighborData()
 				st.markAllActive()
+				st.objective = st.objectiveFromND()
 			}
 			last := &st.history[len(st.history)-1]
-			last.Objective = st.objectiveFromND()
+			last.Objective = st.objective
 			if st.opts.TrackFanout {
 				last.Fanout = st.fanoutFromND()
 			}

@@ -86,7 +86,12 @@ type Options struct {
 	// K is the number of buckets (required, >= 1).
 	K int
 	// Epsilon is the allowed imbalance: every bucket holds at most
-	// (1+Epsilon) * n/k data vertices. Default 0.05 (the paper's setting).
+	// (1+Epsilon) * n/k data vertices — (1+Epsilon) * W/k of the total data
+	// weight W on weighted graphs. Where vertex granularity makes that cap
+	// unattainable (small buckets, heavy vertices), a bucket may instead
+	// hold less than W/k plus the heaviest vertex's weight: at most
+	// ceil(n/k) vertices on unweighted graphs. Default 0.05 (the paper's
+	// setting).
 	Epsilon float64
 	// P is the fanout probability for ObjPFanout. Default 0.5.
 	P float64

@@ -12,10 +12,10 @@ import (
 // only how fast refinement runs, never what it computes. Assignments,
 // iteration histories, AND work counters must be byte-identical for every
 // worker count — on cold runs and across warm session epochs, for both
-// engines. The graphs are sized past the shard thresholds (gainBinShardSize,
-// histShardMin) so the multi-shard fold paths are actually exercised, and
-// one config uses a non-dyadic P so histogram sums leave the trivially
-// exact regime of integer-ish table values.
+// engines. The graphs are sized past the shard threshold (gainBinShardSize)
+// so the multi-shard fold paths are actually exercised, and one config uses
+// a non-dyadic P so histogram sums leave the trivially exact regime of
+// integer-ish table values.
 
 func comparePar(t *testing.T, label string, base, got *Result) {
 	t.Helper()
@@ -50,7 +50,8 @@ func TestParallelMatchesSerial(t *testing.T) {
 		// SHP-2 recursive, |D| past gainBinShardSize: multi-shard bin sync,
 		// coin phase, and the owner-sharded patch collector.
 		{"SHP2", 6000, 20000, 80000, Options{K: 8, Seed: 21}},
-		// SHP-k direct, |D| past histShardMin: multi-shard pair histograms.
+		// SHP-k direct: maintained pair histograms over a multi-worker
+		// proposal pass.
 		{"SHPk", 4000, 12000, 50000, Options{K: 8, Direct: true, Seed: 21}},
 		// Non-dyadic P: gain tables off the integer-friendly values, so the
 		// histogram folds genuinely depend on their (fixed) boundaries.
@@ -83,17 +84,22 @@ func TestParallelMatchesSerial(t *testing.T) {
 // TestParallelMatchesSerialWarmSession runs the same contract across warm
 // session epochs: Apply churn, Repartition, and require every epoch's
 // assignment, history, and work counters to match the serial session's,
-// for both the direct warm engine and a recursive initial partition.
+// for the direct warm engine, a recursive initial partition, and the two
+// warm configurations whose gains leave the dyadic grid (non-dyadic P and
+// MoveCostPenalty) — there the maintained pair-histogram sums carry
+// round-off, so only their one canonical update order keeps them
+// independent of the worker count.
 func TestParallelMatchesSerialWarmSession(t *testing.T) {
 	type epochResult struct {
 		asgn partition.Assignment
 		hist []IterStats
 		work []WorkStats
 	}
-	run := func(t *testing.T, direct bool, workers int) []epochResult {
+	run := func(t *testing.T, opts Options, workers int) []epochResult {
 		t.Helper()
 		g := randomBipartite(t, 77, 3500, 11000, 46000)
-		opts := Options{K: 8, Direct: direct, Seed: 9, Parallelism: workers}
+		opts.Seed = 9
+		opts.Parallelism = workers
 		s, err := NewSession(g, opts)
 		if err != nil {
 			t.Fatal(err)
@@ -124,13 +130,18 @@ func TestParallelMatchesSerialWarmSession(t *testing.T) {
 		return out
 	}
 	for _, mode := range []struct {
-		name   string
-		direct bool
-	}{{"direct", true}, {"recursiveStart", false}} {
+		name string
+		opts Options
+	}{
+		{"direct", Options{K: 8, Direct: true}},
+		{"recursiveStart", Options{K: 8}},
+		{"directP03", Options{K: 8, Direct: true, P: 0.3}},
+		{"directPenalty", Options{K: 8, Direct: true, MoveCostPenalty: 0.05}},
+	} {
 		t.Run(mode.name, func(t *testing.T) {
-			base := run(t, mode.direct, 1)
+			base := run(t, mode.opts, 1)
 			for _, workers := range []int{2, 3, 8} {
-				got := run(t, mode.direct, workers)
+				got := run(t, mode.opts, workers)
 				for e := range base {
 					if !reflect.DeepEqual(base[e].asgn, got[e].asgn) {
 						t.Fatalf("workers=%d epoch %d: assignments diverge from serial", workers, e)

@@ -109,6 +109,21 @@ func TestSessionIncrementalMatchesFullWithPenalty(t *testing.T) {
 	runSessionEpochs(t, s1, s2, c1, c2, 4)
 }
 
+// TestSessionIncrementalMatchesFullOffGrid covers warm sessions whose gains
+// leave the dyadic grid — a non-dyadic P, alone and with a move-cost
+// penalty — where the maintained pair-histogram sums are not exact: both
+// engine paths must still apply the one canonical update sequence and stay
+// byte-identical across churned epochs.
+func TestSessionIncrementalMatchesFullOffGrid(t *testing.T) {
+	for _, opts := range []Options{
+		{K: 8, Direct: true, Seed: 6, P: 0.3},
+		{K: 8, Direct: true, Seed: 6, P: 0.3, MoveCostPenalty: 0.07},
+	} {
+		s1, s2, c1, c2 := sessionPair(t, opts, 0.03)
+		runSessionEpochs(t, s1, s2, c1, c2, 4)
+	}
+}
+
 func TestSessionWeightAndDataDeltas(t *testing.T) {
 	// Hand-built deltas exercising every op kind, including weight changes
 	// (which flip the graph to weighted mid-session) and vertices that join

@@ -1,8 +1,11 @@
 package serve
 
 import (
+	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"strconv"
 )
@@ -13,8 +16,9 @@ import (
 //	GET  /epoch              current epoch metadata (no assignment body)
 //	GET  /stats              service counters (Stats)
 //	POST /delta              apply a delta trace (hgio trace format) from
-//	                         the request body; ?repartition=1 publishes a
-//	                         new epoch immediately after
+//	                         the request body (at most MaxDeltaBytes, else
+//	                         413); ?repartition=1 publishes a new epoch
+//	                         immediately after
 //	POST /repartition        run one epoch and swap
 //
 // Lookup endpoints never block behind mutations; mutation endpoints
@@ -110,7 +114,20 @@ func (s *Service) handleStats(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Service) handleDelta(w http.ResponseWriter, r *http.Request) {
-	applied, err := s.ApplyTrace(r.Body)
+	// Read the whole body before parsing: a body cut off at the cap must be
+	// reported as too large, not as whatever parse error its truncated last
+	// line happens to produce.
+	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, s.maxDeltaBytes))
+	if err != nil {
+		status := http.StatusBadRequest
+		var tooBig *http.MaxBytesError
+		if errors.As(err, &tooBig) {
+			status = http.StatusRequestEntityTooLarge
+		}
+		writeError(w, status, err)
+		return
+	}
+	applied, err := s.ApplyTrace(bytes.NewReader(body))
 	if err != nil {
 		writeError(w, http.StatusBadRequest, err)
 		return

@@ -109,3 +109,46 @@ func TestHTTPDelta(t *testing.T) {
 		t.Fatalf("malformed trace: status %d", w.Code)
 	}
 }
+
+// TestHTTPDeltaBodyCap pins the POST /delta body cap: an oversized body is
+// rejected with 413 and leaves the graph and the published epoch exactly as
+// they were, while a body within the cap still applies.
+func TestHTTPDeltaBodyCap(t *testing.T) {
+	s := testService(t, 35, 0)
+	const limit = 256
+	s.maxDeltaBytes = limit
+	h := s.Handler()
+	before := s.Current()
+	nq := s.session.Graph().NumQueries()
+
+	// A well-formed trace whose every batch would apply, just too long. The
+	// cap cuts it mid-line, which must still read as "too large".
+	var big strings.Builder
+	for big.Len() <= limit {
+		big.WriteString("addq 1 0 1 2\ncommit\n")
+	}
+	w := doJSON(t, h, "POST", "/delta?repartition=1", big.String(), nil)
+	if w.Code != http.StatusRequestEntityTooLarge {
+		t.Fatalf("oversized body: status %d, want 413: %s", w.Code, w.Body.String())
+	}
+	if got := s.Current(); got != before {
+		t.Fatalf("oversized body published epoch %d", got.ID)
+	}
+	if got := s.session.Graph().NumQueries(); got != nq {
+		t.Fatalf("oversized body changed the graph: %d -> %d queries", nq, got)
+	}
+	// Nothing was left pending either: the next epoch sees the old graph.
+	if _, err := s.Repartition(); err != nil {
+		t.Fatal(err)
+	}
+	if got := s.session.Graph().NumQueries(); got != nq {
+		t.Fatalf("graph grew after a rejected body: %d -> %d queries", nq, got)
+	}
+
+	if w := doJSON(t, h, "POST", "/delta", "addq 1 0 1 2\ncommit\n", nil); w.Code != http.StatusOK {
+		t.Fatalf("body within the cap: status %d: %s", w.Code, w.Body.String())
+	}
+	if got := s.session.Graph().NumQueries(); got != nq+1 {
+		t.Fatalf("body within the cap: %d queries, want %d", got, nq+1)
+	}
+}

@@ -55,6 +55,10 @@ type Options struct {
 	ReplayMinCount int
 }
 
+// MaxDeltaBytes caps the request body of POST /delta: a larger body is
+// rejected with 413 before anything is applied.
+const MaxDeltaBytes = 64 << 20
+
 // Epoch is one immutable routing-table generation. Everything in it is
 // fixed at swap time; lookups hold a pointer to the whole struct, so a
 // reader's bucket, epoch id, and checksum are always mutually consistent.
@@ -132,6 +136,10 @@ type Service struct {
 	movedTotal   atomic.Int64
 	swaps        atomic.Uint64
 	hist         latencyHist
+
+	// maxDeltaBytes is the POST /delta body cap (MaxDeltaBytes; tests
+	// lower it).
+	maxDeltaBytes int64
 }
 
 // New builds a Service over the graph and publishes epoch 0 (the first
@@ -141,7 +149,7 @@ func New(g *hypergraph.Bipartite, opts Options) (*Service, error) {
 	if err != nil {
 		return nil, err
 	}
-	s := &Service{opts: opts, session: sess}
+	s := &Service{opts: opts, session: sess, maxDeltaBytes: MaxDeltaBytes}
 	if _, err := s.Repartition(); err != nil {
 		return nil, err
 	}
