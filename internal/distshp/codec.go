@@ -48,7 +48,7 @@ func (bucketCodec) Size(pregel.Message) int { return bucketWireSize }
 type bucketBatchCodec struct{}
 
 func (bucketBatchCodec) Append(buf []byte, m pregel.Message) ([]byte, error) {
-	batch := m.(msgBucketBatch)
+	batch := *m.(*msgBucketBatch)
 	buf = binary.AppendUvarint(buf, uint64(len(batch)))
 	for _, u := range batch {
 		buf = appendBucket(buf, u)
@@ -73,11 +73,11 @@ func (bucketBatchCodec) Decode(data []byte) (pregel.Message, int, error) {
 		used += bucketWireSize
 		batch = append(batch, u)
 	}
-	return batch, used, nil
+	return &batch, used, nil
 }
 
 func (bucketBatchCodec) Size(m pregel.Message) int {
-	batch := m.(msgBucketBatch)
+	batch := *m.(*msgBucketBatch)
 	n := 1
 	for v := uint64(len(batch)); v >= 0x80; v >>= 7 {
 		n++
@@ -125,7 +125,7 @@ func (deltaCodec) Size(pregel.Message) int { return deltaWireSize }
 type deltaBatchCodec struct{}
 
 func (deltaBatchCodec) Append(buf []byte, m pregel.Message) ([]byte, error) {
-	batch := m.(msgDeltaBatch)
+	batch := *m.(*msgDeltaBatch)
 	buf = binary.AppendUvarint(buf, uint64(len(batch)))
 	for _, r := range batch {
 		buf = appendDelta(buf, r)
@@ -150,11 +150,11 @@ func (deltaBatchCodec) Decode(data []byte) (pregel.Message, int, error) {
 		used += deltaWireSize
 		batch = append(batch, r)
 	}
-	return batch, used, nil
+	return &batch, used, nil
 }
 
 func (deltaBatchCodec) Size(m pregel.Message) int {
-	batch := m.(msgDeltaBatch)
+	batch := *m.(*msgDeltaBatch)
 	n := 1
 	for v := uint64(len(batch)); v >= 0x80; v >>= 7 {
 		n++
@@ -165,7 +165,7 @@ func (deltaBatchCodec) Size(m pregel.Message) int {
 type gainCodec struct{}
 
 func (gainCodec) Append(buf []byte, m pregel.Message) ([]byte, error) {
-	g := m.(msgGain)
+	g := m.(*msgGain)
 	buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(g.Cur))
 	return binary.LittleEndian.AppendUint64(buf, math.Float64bits(g.Oth)), nil
 }
@@ -174,7 +174,7 @@ func (gainCodec) Decode(data []byte) (pregel.Message, int, error) {
 	if len(data) < 16 {
 		return nil, 0, fmt.Errorf("distshp: truncated msgGain")
 	}
-	return msgGain{
+	return &msgGain{
 		Cur: math.Float64frombits(binary.LittleEndian.Uint64(data[0:8])),
 		Oth: math.Float64frombits(binary.LittleEndian.Uint64(data[8:16])),
 	}, 16, nil
@@ -188,9 +188,9 @@ func (gainCodec) Size(pregel.Message) int { return 16 }
 func newRegistry() *pregel.Registry {
 	reg := pregel.NewRegistry()
 	reg.Register(msgBucket{}, bucketCodec{})
-	reg.Register(msgBucketBatch(nil), bucketBatchCodec{})
-	reg.Register(msgGain{}, gainCodec{})
+	reg.Register((*msgBucketBatch)(nil), bucketBatchCodec{})
+	reg.Register((*msgGain)(nil), gainCodec{})
 	reg.Register(msgDelta{}, deltaCodec{})
-	reg.Register(msgDeltaBatch(nil), deltaBatchCodec{})
+	reg.Register((*msgDeltaBatch)(nil), deltaBatchCodec{})
 	return reg
 }

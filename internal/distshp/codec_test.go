@@ -31,21 +31,21 @@ func roundTrip(t *testing.T, c pregel.Codec, m pregel.Message) {
 func TestWireCodecs(t *testing.T) {
 	roundTrip(t, bucketCodec{}, msgBucket{Data: 7, New: 3})
 	roundTrip(t, bucketCodec{}, msgBucket{Data: 1 << 30, New: 6})
-	roundTrip(t, gainCodec{}, msgGain{Cur: 1.5, Oth: -2.25})
-	roundTrip(t, gainCodec{}, msgGain{})
-	roundTrip(t, bucketBatchCodec{}, msgBucketBatch{
+	roundTrip(t, gainCodec{}, &msgGain{Cur: 1.5, Oth: -2.25})
+	roundTrip(t, gainCodec{}, &msgGain{})
+	roundTrip(t, bucketBatchCodec{}, &msgBucketBatch{
 		{Data: 1, New: 0},
 		{Data: 2, New: 1},
 		{Data: 3, New: 1},
 	})
 	roundTrip(t, deltaCodec{}, msgDelta{Bucket: 4, COld: 2, CNew: 3})
 	roundTrip(t, deltaCodec{}, msgDelta{Bucket: 1 << 29, COld: 0, CNew: 7})
-	roundTrip(t, deltaBatchCodec{}, msgDeltaBatch{
+	roundTrip(t, deltaBatchCodec{}, &msgDeltaBatch{
 		{Bucket: 2, COld: 3, CNew: 4},
 		{Bucket: 3, COld: 1, CNew: 0},
 		{Bucket: 2, COld: 0, CNew: 1},
 	})
-	roundTrip(t, deltaBatchCodec{}, msgDeltaBatch{})
+	roundTrip(t, deltaBatchCodec{}, &msgDeltaBatch{})
 }
 
 func TestCodecTruncation(t *testing.T) {
@@ -73,7 +73,7 @@ func TestCodecTruncation(t *testing.T) {
 	if _, _, err := (deltaBatchCodec{}).Decode([]byte{2, 0, 0, 0}); err == nil {
 		t.Fatal("delta batch count exceeding payload should fail")
 	}
-	buf, err := (deltaBatchCodec{}).Append(nil, msgDeltaBatch{{Bucket: 2, COld: 0, CNew: 1}})
+	buf, err := (deltaBatchCodec{}).Append(nil, &msgDeltaBatch{{Bucket: 2, COld: 0, CNew: 1}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -83,18 +83,18 @@ func TestCodecTruncation(t *testing.T) {
 }
 
 func TestCombineSemantics(t *testing.T) {
-	g := combine(msgGain{Cur: 1, Oth: 2}, msgGain{Cur: 3, Oth: 4}).(msgGain)
+	g := combine(&msgGain{Cur: 1, Oth: 2}, &msgGain{Cur: 3, Oth: 4}).(*msgGain)
 	if g.Cur != 4 || g.Oth != 6 {
 		t.Fatalf("msgGain combine = %+v", g)
 	}
 	a := msgBucket{Data: 1}
 	b := msgBucket{Data: 2}
 	c := msgBucket{Data: 3}
-	batch := combine(combine(a, b), c).(msgBucketBatch)
+	batch := *combine(combine(a, b), c).(*msgBucketBatch)
 	if len(batch) != 3 || batch[0].Data != 1 || batch[2].Data != 3 {
 		t.Fatalf("bucket batching = %+v", batch)
 	}
-	merged := combine(combine(a, b), combine(c, msgBucket{Data: 4})).(msgBucketBatch)
+	merged := *combine(combine(a, b), combine(c, msgBucket{Data: 4})).(*msgBucketBatch)
 	if len(merged) != 4 {
 		t.Fatalf("batch-batch combine = %+v", merged)
 	}
@@ -116,7 +116,7 @@ func TestCombineDeltaRecords(t *testing.T) {
 		{"balanced (batch+batch)", combine(combine(r(1), r(2)), combine(r(3), r(4)))},
 	}
 	for _, tc := range cases {
-		got := tc.got.(msgDeltaBatch)
+		got := *tc.got.(*msgDeltaBatch)
 		if len(got) != len(want) {
 			t.Fatalf("%s: %d records, want %d: %+v", tc.name, len(got), len(want), got)
 		}
@@ -127,9 +127,9 @@ func TestCombineDeltaRecords(t *testing.T) {
 		}
 	}
 	// Re-merging merged batches keeps the flat record multiset intact.
-	left := combine(r(1), r(2)).(msgDeltaBatch)
-	right := combine(r(3), r(4)).(msgDeltaBatch)
-	again := combine(combine(left, right), combine(r(5), r(6))).(msgDeltaBatch)
+	left := combine(r(1), r(2)).(*msgDeltaBatch)
+	right := combine(r(3), r(4)).(*msgDeltaBatch)
+	again := *combine(combine(left, right), combine(r(5), r(6))).(*msgDeltaBatch)
 	if len(again) != 6 {
 		t.Fatalf("re-merged batches hold %d records, want 6: %+v", len(again), again)
 	}
@@ -149,5 +149,5 @@ func TestCombineRejectsMixedKinds(t *testing.T) {
 			t.Fatal("combining msgGain with msgDelta should panic")
 		}
 	}()
-	combine(msgGain{Cur: 1}, msgDelta{Bucket: 1})
+	combine(&msgGain{Cur: 1}, msgDelta{Bucket: 1})
 }

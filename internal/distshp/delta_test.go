@@ -233,18 +233,18 @@ func TestDistDeltaPatchProperty(t *testing.T) {
 			if len(batch) == 0 {
 				continue
 			}
-			buf, err := (deltaBatchCodec{}).Append(nil, batch)
+			buf, err := (deltaBatchCodec{}).Append(nil, &batch)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if len(buf) != (deltaBatchCodec{}).Size(batch) {
-				t.Fatalf("round %d: batch Size %d != encoded %d", round, (deltaBatchCodec{}).Size(batch), len(buf))
+			if len(buf) != (deltaBatchCodec{}).Size(&batch) {
+				t.Fatalf("round %d: batch Size %d != encoded %d", round, (deltaBatchCodec{}).Size(&batch), len(buf))
 			}
 			decoded, used, err := (deltaBatchCodec{}).Decode(buf)
-			if err != nil || used != len(buf) || !reflect.DeepEqual(decoded, batch) {
+			if err != nil || used != len(buf) || !reflect.DeepEqual(decoded, &batch) {
 				t.Fatalf("round %d: batch round trip failed (used %d, err %v)", round, used, err)
 			}
-			for _, rec := range decoded.(msgDeltaBatch) {
+			for _, rec := range *decoded.(*msgDeltaBatch) {
 				obs[o].applyDelta(tb, rec)
 			}
 		}
@@ -273,14 +273,14 @@ func TestDeltaWireSize(t *testing.T) {
 		t.Fatalf("encoded msgDelta is %d bytes, want 12", got)
 	}
 	batch := msgDeltaBatch{rec, {Bucket: 4, COld: 0, CNew: 1}, {Bucket: 1, COld: 7, CNew: 0}}
-	buf, err := (deltaBatchCodec{}).Append(nil, batch)
+	buf, err := (deltaBatchCodec{}).Append(nil, &batch)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if want := 1 + 12*len(batch); len(buf) != want {
 		t.Fatalf("encoded batch of %d records is %d bytes, want %d", len(batch), len(buf), want)
 	}
-	if sz := (deltaBatchCodec{}).Size(batch); sz != len(buf) {
+	if sz := (deltaBatchCodec{}).Size(&batch); sz != len(buf) {
 		t.Fatalf("Size %d != encoded %d", sz, len(buf))
 	}
 }

@@ -278,7 +278,12 @@ func (r *Result) LateProposalBytes(maxMovedFraction float64) (iters int, bytes i
 	return iters, bytes
 }
 
-// message kinds exchanged between vertices.
+// message kinds exchanged between vertices. The combinable kinds travel as
+// pointers — *msgGain, *msgBucketBatch, *msgDeltaBatch — so the combiner
+// folds into the outbox's message in place instead of allocating a new
+// value per fold; msgBucket and msgDelta are small values that a fold
+// promotes to a batch. Each pointer is sent once and then belongs to the
+// engine (see pregel.Context.Send).
 type (
 	// msgBucket: data -> query, "I am now in bucket New". Queries key
 	// their incremental neighbor-data maintenance on Data alone (first
@@ -291,7 +296,7 @@ type (
 	// msgBucketBatch is the sender-side-combined form of msgBucket: all of
 	// one worker's bucket updates for one query, shipped as a single
 	// envelope (Giraph-style message batching on the count-aggregation
-	// superstep).
+	// superstep). It travels as *msgBucketBatch.
 	msgBucketBatch []msgBucket
 	// msgGain: query -> data, the neighbor-data contribution to the
 	// receiver's Equation 1 gain, already mapped through the level's gain
@@ -300,7 +305,8 @@ type (
 	// queries simply add, so sender-side combining collapses each worker's
 	// per-data traffic to one message. A vertex that receives msgGain
 	// resums its persistent accumulators from scratch (every adjacent
-	// query is guaranteed to have sent one).
+	// query is guaranteed to have sent one). It travels as *msgGain, which
+	// the combiner adds into in place.
 	msgGain struct {
 		Cur, Oth float64 // sum of T[n(current bucket)-1] and T[n(sibling)]
 	}
@@ -322,44 +328,69 @@ type (
 	// msgDeltaBatch is the sender-side-combined form of msgDelta: all of
 	// one worker's delta records for one data vertex, shipped as a single
 	// envelope. Exact patch arithmetic makes the record order irrelevant
-	// to the result; combining preserves send order anyway.
+	// to the result; combining preserves send order anyway. It travels as
+	// *msgDeltaBatch.
 	msgDeltaBatch []msgDelta
 )
 
 // combine is the engine combiner: msgGain adds; msgBucket and msgDelta
 // batch. The engine applies it in the per-destination outbox, so all three
-// cut the envelope count that crosses workers. The protocol never mixes
-// kinds for one destination in one superstep (a vertex is either a mover —
-// gains from every adjacent query — or clean — deltas only), so cross-kind
-// merges are a protocol violation and panic.
+// cut the envelope count that crosses workers. Folds mutate and return the
+// first argument whenever it is already a pointer kind; a first value
+// (msgBucket, msgDelta) starts a new batch. The protocol never mixes kinds
+// for one destination in one superstep (a vertex is either a mover — gains
+// from every adjacent query — or clean — deltas only), so cross-kind merges
+// are a protocol violation and panic.
 func combine(a, b pregel.Message) pregel.Message {
 	switch x := a.(type) {
-	case msgGain:
-		y := b.(msgGain)
-		return msgGain{Cur: x.Cur + y.Cur, Oth: x.Oth + y.Oth}
+	case *msgGain:
+		y := b.(*msgGain)
+		x.Cur += y.Cur
+		x.Oth += y.Oth
+		return x
 	case msgBucket:
-		if y, ok := b.(msgBucket); ok {
-			return msgBucketBatch{x, y}
-		}
-		return append(msgBucketBatch{x}, b.(msgBucketBatch)...)
-	case msgBucketBatch:
-		if y, ok := b.(msgBucket); ok {
-			return append(x, y)
-		}
-		return append(x, b.(msgBucketBatch)...)
+		batch := append(make(msgBucketBatch, 0, bucketBatchCap), x)
+		return (&batch).fold(b)
+	case *msgBucketBatch:
+		return x.fold(b)
 	case msgDelta:
-		if y, ok := b.(msgDelta); ok {
-			return msgDeltaBatch{x, y}
-		}
-		return append(msgDeltaBatch{x}, b.(msgDeltaBatch)...)
-	case msgDeltaBatch:
-		if y, ok := b.(msgDelta); ok {
-			return append(x, y)
-		}
-		return append(x, b.(msgDeltaBatch)...)
+		batch := append(make(msgDeltaBatch, 0, deltaBatchCap), x)
+		return (&batch).fold(b)
+	case *msgDeltaBatch:
+		return x.fold(b)
 	}
 	//shp:panics(invariant: the combiner is wired next to the codec registry; an unknown kind is a registration bug caught by codec-symmetry)
 	panic(fmt.Sprintf("distshp: uncombinable message %T", a))
+}
+
+// bucketBatchCap and deltaBatchCap size a new batch so that typical folds
+// append without regrowing: a level start sends each query one update per
+// member (about twenty on the benchmark's social graphs, split over the
+// workers), and a data vertex rarely collects more than a few delta records
+// from one worker.
+const (
+	bucketBatchCap = 8
+	deltaBatchCap  = 4
+)
+
+// fold appends a msgBucket or the records of a *msgBucketBatch in place.
+func (b *msgBucketBatch) fold(m pregel.Message) *msgBucketBatch {
+	if y, ok := m.(msgBucket); ok {
+		*b = append(*b, y)
+	} else {
+		*b = append(*b, *m.(*msgBucketBatch)...)
+	}
+	return b
+}
+
+// fold appends a msgDelta or the records of a *msgDeltaBatch in place.
+func (b *msgDeltaBatch) fold(m pregel.Message) *msgDeltaBatch {
+	if y, ok := m.(msgDelta); ok {
+		*b = append(*b, y)
+	} else {
+		*b = append(*b, *m.(*msgDeltaBatch)...)
+	}
+	return b
 }
 
 // dataState is the per-data-vertex state.
@@ -877,10 +908,6 @@ func computeData(ctx *pregel.Context, g *hypergraph.Bipartite, st *dataState,
 	if v := ctx.ReadAggregator("level"); v != nil {
 		level = v.(int)
 	}
-	iter := 0
-	if v := ctx.ReadAggregator("iter"); v != nil {
-		iter = v.(int)
-	}
 	switch phase {
 	case 0:
 		if level != st.level {
@@ -933,16 +960,16 @@ func computeData(ctx *pregel.Context, g *hypergraph.Bipartite, st *dataState,
 		gains, deltas := 0, 0
 		for _, m := range msgs {
 			switch x := m.(type) {
-			case msgGain:
+			case *msgGain:
 				gains++
 				sumCur += x.Cur
 				sumOth += x.Oth
 			case msgDelta:
 				deltas++
 				st.applyDelta(tb, x)
-			case msgDeltaBatch:
+			case *msgDeltaBatch:
 				deltas++
-				for _, r := range x {
+				for _, r := range *x {
 					st.applyDelta(tb, r)
 				}
 			}
@@ -990,6 +1017,10 @@ func computeData(ctx *pregel.Context, g *hypergraph.Bipartite, st *dataState,
 		if p <= 0 {
 			return
 		}
+		iter := 0
+		if v := ctx.ReadAggregator("iter"); v != nil {
+			iter = v.(int)
+		}
 		key := rng.Mix(rng.Mix(uint64(level)+1, uint64(iter)+1), uint64(st.d))
 		if p >= 1 || rng.CoinAt(opts.Seed^0x30E5, key) < p {
 			st.bucket ^= 1
@@ -1020,82 +1051,81 @@ func directionKey(bucket int32) uint64 {
 func computeQuery(ctx *pregel.Context, g *hypergraph.Bipartite, st *queryState,
 	msgs []pregel.Message, opts Options, tables []core.GainTables) {
 
-	phase := ctx.Superstep() % 4
+	if ctx.Superstep()%4 != 1 {
+		return // queries act in superstep 1 only
+	}
 	level := 0
 	if v := ctx.ReadAggregator("level"); v != nil {
 		level = v.(int)
 	}
-	switch phase {
-	case 1:
-		full := opts.DisableIncremental
-		if v := ctx.ReadAggregator("rebuild"); v != nil && v.(bool) {
-			full = true
-		}
-		members := g.QueryNeighbors(st.q)
-		if level != st.level {
-			// Level changed: rebuild from the registration messages. Every
-			// data vertex re-registers, so every member counts as a mover
-			// and receives a full contribution below.
-			st.register(level, len(members))
-		}
-		// Apply the bucket updates. On the incremental path, flag the
-		// members that moved and snapshot the pre-superstep segment so the
-		// net per-bucket changes can be diffed out afterwards. No map is
-		// touched anywhere in this superstep: counts live in the kernel's
-		// sorted-slice layout and member lookups are binary searches over
-		// the sorted adjacency list.
-		track := !full
-		for _, m := range msgs {
-			switch mb := m.(type) {
-			case msgBucket:
-				st.applyUpdate(members, mb, track)
-			case msgBucketBatch:
-				for _, u := range mb {
-					st.applyUpdate(members, u, track)
-				}
+	full := opts.DisableIncremental
+	if v := ctx.ReadAggregator("rebuild"); v != nil && v.(bool) {
+		full = true
+	}
+	members := g.QueryNeighbors(st.q)
+	if level != st.level {
+		// Level changed: rebuild from the registration messages. Every
+		// data vertex re-registers, so every member counts as a mover
+		// and receives a full contribution below.
+		st.register(level, len(members))
+	}
+	// Apply the bucket updates. On the incremental path, flag the
+	// members that moved and snapshot the pre-superstep segment so the
+	// net per-bucket changes can be diffed out afterwards. No map is
+	// touched anywhere in this superstep: counts live in the kernel's
+	// sorted-slice layout and member lookups are binary searches over
+	// the sorted adjacency list.
+	track := !full
+	for _, m := range msgs {
+		switch mb := m.(type) {
+		case msgBucket:
+			st.applyUpdate(members, mb, track)
+		case *msgBucketBatch:
+			for _, u := range *mb {
+				st.applyUpdate(members, u, track)
 			}
 		}
-		// Fanout bookkeeping: hand the master the live-entry diff so it can
-		// maintain the global average fanout without graph passes. Identical
-		// on every path (count maintenance does not depend on the plane).
-		if n := int32(len(st.ent)); n != st.prevLen {
-			ctx.Aggregate("fanoutDiff", int64(n-st.prevLen))
-			st.prevLen = n
-		}
-		// Send each member its gain-state update. Iterating the adjacency
-		// list keeps send order — and with it uncombined floating-point
-		// summation order — deterministic; grid-exact sums make the order
-		// irrelevant to the result either way.
-		tb := tables[level]
-		if full {
-			for i, d := range members {
-				b := st.memberBucket[i]
-				if b < 0 {
-					continue
-				}
-				ctx.Send(pregel.VertexID(int(d)), msgGain{Cur: tb.T[core.NDCount(st.ent, b)-1], Oth: tb.T[core.NDCount(st.ent, b^1)]})
-			}
-			return
-		}
-		if !st.snapped {
-			return // clean query: members' accumulators are already exact
-		}
-		recs := st.deltaRecords()
+	}
+	// Fanout bookkeeping: hand the master the live-entry diff so it can
+	// maintain the global average fanout without graph passes. Identical
+	// on every path (count maintenance does not depend on the plane).
+	if n := int32(len(st.ent)); n != st.prevLen {
+		ctx.Aggregate("fanoutDiff", int64(n-st.prevLen))
+		st.prevLen = n
+	}
+	// Send each member its gain-state update. Iterating the adjacency
+	// list keeps send order — and with it uncombined floating-point
+	// summation order — deterministic; grid-exact sums make the order
+	// irrelevant to the result either way.
+	tb := tables[level]
+	if full {
 		for i, d := range members {
 			b := st.memberBucket[i]
 			if b < 0 {
 				continue
 			}
-			if st.moved[i] {
-				ctx.Send(pregel.VertexID(int(d)), msgGain{Cur: tb.T[core.NDCount(st.ent, b)-1], Oth: tb.T[core.NDCount(st.ent, b^1)]})
-				continue
-			}
-			for _, r := range recs {
-				if r.Bucket == b || r.Bucket == b^1 {
-					ctx.Send(pregel.VertexID(int(d)), r)
-				}
+			ctx.Send(pregel.VertexID(int(d)), &msgGain{Cur: tb.T[core.NDCount(st.ent, b)-1], Oth: tb.T[core.NDCount(st.ent, b^1)]})
+		}
+		return
+	}
+	if !st.snapped {
+		return // clean query: members' accumulators are already exact
+	}
+	recs := st.deltaRecords()
+	for i, d := range members {
+		b := st.memberBucket[i]
+		if b < 0 {
+			continue
+		}
+		if st.moved[i] {
+			ctx.Send(pregel.VertexID(int(d)), &msgGain{Cur: tb.T[core.NDCount(st.ent, b)-1], Oth: tb.T[core.NDCount(st.ent, b^1)]})
+			continue
+		}
+		for _, r := range recs {
+			if r.Bucket == b || r.Bucket == b^1 {
+				ctx.Send(pregel.VertexID(int(d)), r)
 			}
 		}
-		st.resetSuperstep()
 	}
+	st.resetSuperstep()
 }

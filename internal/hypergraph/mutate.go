@@ -152,54 +152,70 @@ func (d *Delta) SetDataWeight(v, weight int32) {
 	d.Ops = append(d.Ops, DeltaOp{Kind: OpSetDataWeight, D: v, Weight: weight})
 }
 
-// validate checks every op against the target counts without mutating
-// anything, so ApplyDelta is atomic: either the whole delta applies or the
-// graph is untouched.
-func (d *Delta) validate(g *Bipartite) error {
-	if d.BaseQueries != g.numQ || d.BaseData != g.numD {
-		return fmt.Errorf("hypergraph: delta built against %d queries / %d data, graph has %d / %d",
-			d.BaseQueries, d.BaseData, g.numQ, g.numD)
+// validate checks every op against a graph with nq queries and nd data
+// vertices without mutating anything, so ApplyDelta is atomic: either the
+// whole delta applies or the graph is untouched. It returns the counts the
+// delta leaves behind. Counts are all validation reads, which is what lets
+// CheckChain vet a chain of deltas without a scratch graph.
+func (d *Delta) validate(nq, nd int) (int, int, error) {
+	if d.BaseQueries != nq || d.BaseData != nd {
+		return 0, 0, fmt.Errorf("hypergraph: delta built against %d queries / %d data, graph has %d / %d",
+			d.BaseQueries, d.BaseData, nq, nd)
 	}
-	nq, nd := g.numQ, g.numD
 	for i, op := range d.Ops {
 		switch op.Kind {
 		case OpAddData:
 			if op.Weight <= 0 {
-				return fmt.Errorf("hypergraph: delta op %d adds data vertex with non-positive weight %d", i, op.Weight)
+				return 0, 0, fmt.Errorf("hypergraph: delta op %d adds data vertex with non-positive weight %d", i, op.Weight)
 			}
 			if int(op.D) != nd {
-				return fmt.Errorf("hypergraph: delta op %d assigns data id %d, expected %d", i, op.D, nd)
+				return 0, 0, fmt.Errorf("hypergraph: delta op %d assigns data id %d, expected %d", i, op.D, nd)
 			}
 			nd++
 		case OpAddHyperedge:
 			if len(op.Members) == 0 {
-				return fmt.Errorf("hypergraph: delta op %d adds an empty hyperedge", i)
+				return 0, 0, fmt.Errorf("hypergraph: delta op %d adds an empty hyperedge", i)
 			}
 			if op.Weight < 0 {
-				return fmt.Errorf("hypergraph: delta op %d adds hyperedge with negative weight %d", i, op.Weight)
+				return 0, 0, fmt.Errorf("hypergraph: delta op %d adds hyperedge with negative weight %d", i, op.Weight)
 			}
 			if int(op.Q) != nq {
-				return fmt.Errorf("hypergraph: delta op %d assigns query id %d, expected %d", i, op.Q, nq)
+				return 0, 0, fmt.Errorf("hypergraph: delta op %d assigns query id %d, expected %d", i, op.Q, nq)
 			}
 			for _, m := range op.Members {
 				if m < 0 || int(m) >= nd {
-					return fmt.Errorf("hypergraph: delta op %d references data %d out of range [0,%d)", i, m, nd)
+					return 0, 0, fmt.Errorf("hypergraph: delta op %d references data %d out of range [0,%d)", i, m, nd)
 				}
 			}
 			nq++
 		case OpRemoveHyperedge:
 			if op.Q < 0 || int(op.Q) >= nq {
-				return fmt.Errorf("hypergraph: delta op %d removes query %d out of range [0,%d)", i, op.Q, nq)
+				return 0, 0, fmt.Errorf("hypergraph: delta op %d removes query %d out of range [0,%d)", i, op.Q, nq)
 			}
 		case OpSetDataWeight:
 			if op.D < 0 || int(op.D) >= nd {
-				return fmt.Errorf("hypergraph: delta op %d targets data %d out of range [0,%d)", i, op.D, nd)
+				return 0, 0, fmt.Errorf("hypergraph: delta op %d targets data %d out of range [0,%d)", i, op.D, nd)
 			}
 			if op.Weight <= 0 {
-				return fmt.Errorf("hypergraph: delta op %d sets non-positive weight %d", i, op.Weight)
+				return 0, 0, fmt.Errorf("hypergraph: delta op %d sets non-positive weight %d", i, op.Weight)
 			}
 		default:
-			return fmt.Errorf("hypergraph: delta op %d has unknown kind %d", i, op.Kind)
+			return 0, 0, fmt.Errorf("hypergraph: delta op %d has unknown kind %d", i, op.Kind)
+		}
+	}
+	return nq, nd, nil
+}
+
+// CheckChain reports whether deltas apply in order on g, each against the
+// graph its predecessors leave, without mutating g. ApplyDelta fails only
+// where this does, so a chain that passes applies in full; the error names
+// the first batch that would fail.
+func (g *Bipartite) CheckChain(deltas []*Delta) error {
+	nq, nd := g.numQ, g.numD
+	for i, d := range deltas {
+		var err error
+		if nq, nd, err = d.validate(nq, nd); err != nil {
+			return fmt.Errorf("batch %d: %w", i, err)
 		}
 	}
 	return nil
@@ -209,7 +225,7 @@ func (d *Delta) validate(g *Bipartite) error {
 // is atomic: it validates everything first and only then mutates, bumping
 // Version once per op. Not safe for use concurrently with readers.
 func (g *Bipartite) ApplyDelta(d *Delta) error {
-	if err := d.validate(g); err != nil {
+	if _, _, err := d.validate(g.numQ, g.numD); err != nil {
 		return err
 	}
 	g.ensureMutable()

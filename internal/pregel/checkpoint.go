@@ -357,6 +357,9 @@ func (e *Engine) restoreSnapshot(data []byte) error {
 			if err != nil {
 				return err
 			}
+			if !e.owns(w.id, VertexID(dst)) {
+				return fmt.Errorf("worker %d inbox: message for vertex %d, not a vertex of the worker", w.id, dst)
+			}
 			msg, used, err := e.opts.Codecs.decodeValue(data)
 			if err != nil {
 				return fmt.Errorf("worker %d inbox: %w", w.id, err)

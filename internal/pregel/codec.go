@@ -19,7 +19,8 @@ type Codec interface {
 	// Append serializes m onto buf and returns the extended buffer.
 	Append(buf []byte, m Message) ([]byte, error)
 	// Decode reads one message from the front of data and returns it along
-	// with the number of bytes consumed.
+	// with the number of bytes consumed. The message must not alias data:
+	// transports reuse their receive buffers once a frame is decoded.
 	Decode(data []byte) (Message, int, error)
 	// Size returns m's exact encoded size in bytes (what Append would add).
 	Size(m Message) int
@@ -108,6 +109,9 @@ func (r *Registry) decodeEnvelope(data []byte) (envelope, int, error) {
 	if n <= 0 {
 		return envelope{}, 0, fmt.Errorf("pregel: truncated envelope header")
 	}
+	if n != uvarintLen(dst) {
+		return envelope{}, 0, fmt.Errorf("pregel: non-minimal envelope destination")
+	}
 	m, used, err := r.decodeValue(data[n:])
 	if err != nil {
 		return envelope{}, 0, err
@@ -157,11 +161,14 @@ func (Int64Codec) Decode(data []byte) (Message, int, error) {
 	if n <= 0 {
 		return nil, 0, fmt.Errorf("pregel: truncated int64")
 	}
+	if n != zigzagLen(v) {
+		return nil, 0, fmt.Errorf("pregel: non-minimal int64")
+	}
 	return v, n, nil
 }
 
 // Size returns the varint width of m.
-func (Int64Codec) Size(m Message) int {
-	v := m.(int64)
-	return uvarintLen(uint64(v)<<1 ^ uint64(v>>63))
-}
+func (Int64Codec) Size(m Message) int { return zigzagLen(m.(int64)) }
+
+// zigzagLen is the minimal binary.AppendVarint width of v.
+func zigzagLen(v int64) int { return uvarintLen(uint64(v)<<1 ^ uint64(v>>63)) }

@@ -3,6 +3,8 @@ package pregel
 import (
 	"errors"
 	"fmt"
+	"math"
+	"slices"
 	"sort"
 	"time"
 
@@ -16,19 +18,8 @@ type envelope struct {
 	msg Message
 }
 
-// outbox buffers one worker's messages for one destination worker. When a
-// combiner is configured, idx tracks the position of the (single) combined
-// message per destination vertex so Send can fold into it — Giraph's
-// sender-side combining, which is what actually reduces wire traffic.
-type outbox struct {
-	env []envelope
-	idx map[VertexID]int
-}
-
-// inbox holds a worker's received messages as parallel slices: sorting the
-// pair by destination groups each vertex's messages into a contiguous run,
-// so delivery is a merge-join against the (id-sorted) vertex list with no
-// per-vertex map entries or slice allocations.
+// inbox holds a worker's received messages as parallel slices in arrival
+// order (source worker, then send order), which every transport presents.
 type inbox struct {
 	dst []VertexID
 	msg []Message
@@ -43,56 +34,61 @@ func (in *inbox) len() int { return len(in.dst) }
 
 func (in *inbox) reset() {
 	in.dst = in.dst[:0]
-	for i := range in.msg {
-		in.msg[i] = nil // release references for the collector
-	}
+	clear(in.msg) // release references for the collector
 	in.msg = in.msg[:0]
 }
 
-// inboxSorter stable-sorts the parallel slices by destination vertex.
-// Stability preserves (source worker, send order), which transports are
-// required to present, keeping delivery deterministic.
-type inboxSorter struct{ in *inbox }
-
-func (s inboxSorter) Len() int           { return len(s.in.dst) }
-func (s inboxSorter) Less(i, j int) bool { return s.in.dst[i] < s.in.dst[j] }
-func (s inboxSorter) Swap(i, j int) {
-	s.in.dst[i], s.in.dst[j] = s.in.dst[j], s.in.dst[i]
-	s.in.msg[i], s.in.msg[j] = s.in.msg[j], s.in.msg[i]
-}
-
 type worker struct {
-	id          int
-	vertices    []*Vertex // sorted by ID
-	in          inbox
-	out         []outbox // per destination worker
+	id       int
+	vertices []*Vertex // sorted by ID
+	in       inbox
+	// out buffers this worker's messages per destination worker. With a
+	// combiner, slot[dst] is 1 + the index of dst's single envelope in
+	// out[workerOf(dst)] (0: none yet), so Send folds into it without a
+	// hash lookup — Giraph's sender-side combining, which is what actually
+	// reduces wire traffic. Every set slot has exactly one envelope, so
+	// clearOutboxes resets the slots by walking the envelopes it clears.
+	// The slots cost N int32s per worker.
+	out  [][]envelope
+	slot []int32
+	// Delivery scratch, reused across supersteps: key[i] is the local
+	// position of in.dst[i], off the counting sort's run offsets, and
+	// sorted the inbox grouped into per-vertex runs.
+	key    []int32
+	off    []int32
+	sorted []Message
+
 	aggregators map[string]Aggregator
 }
 
 func (w *worker) clearOutboxes() {
-	for d := range w.out {
-		env := w.out[d].env
+	for d, env := range w.out {
 		for i := range env {
+			if w.slot != nil {
+				w.slot[env[i].dst] = 0
+			}
 			env[i].msg = nil // release references for the collector
 		}
-		w.out[d].env = env[:0]
-		if w.out[d].idx != nil {
-			clear(w.out[d].idx)
-		}
+		w.out[d] = env[:0]
 	}
 }
 
 // Engine is a configured computation over a fixed vertex set.
 type Engine struct {
-	opts        Options
-	transport   Transport
-	workers     []*worker
-	vertexIndex map[VertexID]*Vertex
-	aggregated  map[string]interface{}
-	stats       Stats
+	opts      Options
+	transport Transport
+	workers   []*worker
+	// vertices is indexed by id (ids are dense, 0..N-1); pos[id] is the
+	// vertex's position in its worker's id-sorted vertex list.
+	vertices   []*Vertex
+	pos        []int32
+	aggregated map[string]interface{}
+	stats      Stats
 }
 
-// NewEngine builds an engine over the given vertices.
+// NewEngine builds an engine over the given vertices. Their ids must be
+// exactly 0..N-1 (N = len(vertices)), in any order; anything else — a
+// negative id, an id >= N, a gap, or a duplicate — is an error.
 func NewEngine(opts Options, vertices []*Vertex) (*Engine, error) {
 	if opts.Compute == nil {
 		return nil, errors.New("pregel: Compute is required")
@@ -106,38 +102,45 @@ func NewEngine(opts Options, vertices []*Vertex) (*Engine, error) {
 	if opts.Transport == nil {
 		opts.Transport = MemoryTransport()
 	}
-	e := &Engine{
-		opts:        opts,
-		transport:   opts.Transport,
-		vertexIndex: make(map[VertexID]*Vertex, len(vertices)),
-		aggregated:  map[string]interface{}{},
+	n := len(vertices)
+	if n > math.MaxInt32 {
+		return nil, fmt.Errorf("pregel: %d vertices exceed the engine's int32 positions", n)
 	}
+	e := &Engine{
+		opts:       opts,
+		transport:  opts.Transport,
+		vertices:   make([]*Vertex, n),
+		pos:        make([]int32, n),
+		aggregated: map[string]interface{}{},
+	}
+	for _, v := range vertices {
+		if v.ID < 0 || v.ID >= VertexID(n) {
+			return nil, fmt.Errorf("pregel: vertex id %d outside [0, %d): ids must be dense", v.ID, n)
+		}
+		if e.vertices[v.ID] != nil {
+			return nil, fmt.Errorf("pregel: duplicate vertex id %d", v.ID)
+		}
+		e.vertices[v.ID] = v
+	}
+	// n ids in [0, n) with no duplicate leave no gap, so every slot is set.
 	e.workers = make([]*worker, opts.Workers)
 	for i := range e.workers {
 		w := &worker{
 			id:          i,
-			out:         make([]outbox, opts.Workers),
+			out:         make([][]envelope, opts.Workers),
 			aggregators: map[string]Aggregator{},
 		}
 		if opts.Combiner != nil {
-			for d := range w.out {
-				w.out[d].idx = map[VertexID]int{}
-			}
+			w.slot = make([]int32, n)
 		}
 		e.workers[i] = w
 	}
-	for _, v := range vertices {
-		if _, dup := e.vertexIndex[v.ID]; dup {
-			return nil, fmt.Errorf("pregel: duplicate vertex id %d", v.ID)
-		}
-		e.vertexIndex[v.ID] = v
-		w := e.workerOf(v.ID)
-		e.workers[w].vertices = append(e.workers[w].vertices, v)
-	}
-	for _, w := range e.workers {
-		// Sort by id so superstep execution order and the inbox merge-join
-		// are both deterministic regardless of input order.
-		sort.Slice(w.vertices, func(i, j int) bool { return w.vertices[i].ID < w.vertices[j].ID })
+	// Ascending ids keep every worker's list sorted, so superstep execution
+	// order is deterministic regardless of input order.
+	for id, v := range e.vertices {
+		w := e.workers[e.workerOf(VertexID(id))]
+		e.pos[id] = int32(len(w.vertices))
+		w.vertices = append(w.vertices, v)
 	}
 	return e, nil
 }
@@ -220,7 +223,7 @@ func (e *Engine) Run() (*Stats, error) {
 		ss := SuperstepStats{Superstep: step, ActiveVertices: active, MaxWorkerActive: maxWorkerActive}
 		for _, w := range e.workers {
 			for d := range w.out {
-				n := int64(len(w.out[d].env))
+				n := int64(len(w.out[d]))
 				ss.MessagesSent += n
 				if d != w.id {
 					ss.RemoteMessages += n
@@ -390,44 +393,32 @@ func (e *Engine) recoverFrom(err error, step, maxRecoveries int) (int, error) {
 	return snapStep, nil
 }
 
-// runWorker executes one worker's vertices for one superstep. Inbound
-// messages are sorted into contiguous per-vertex runs and delivered by a
-// merge-join against the id-sorted vertex list.
+// runWorker executes one worker's vertices for one superstep, delivering
+// each vertex its run of the sorted inbox.
 func (e *Engine) runWorker(w *worker, step int) {
-	if w.in.len() > 0 {
-		sort.Stable(inboxSorter{&w.in})
-		if comb := e.opts.Combiner; comb != nil {
-			// Receiver-side pass: sender-side combining already folded each
-			// worker's own traffic, this folds across source workers.
-			o := 0
-			for i := 1; i < w.in.len(); i++ {
-				if w.in.dst[i] == w.in.dst[o] {
-					w.in.msg[o] = comb(w.in.msg[o], w.in.msg[i])
-				} else {
-					o++
-					w.in.dst[o] = w.in.dst[i]
-					w.in.msg[o] = w.in.msg[i]
-				}
-			}
-			for i := o + 1; i < len(w.in.msg); i++ {
-				w.in.msg[i] = nil
-			}
-			w.in.dst = w.in.dst[:o+1]
-			w.in.msg = w.in.msg[:o+1]
-		}
+	hasMail := w.in.len() > 0
+	if hasMail {
+		e.sortInbox(w)
 	}
+	comb := e.opts.Combiner
 	ctx := &Context{engine: e, worker: w, superstep: step}
-	i, n := 0, w.in.len()
-	for _, v := range w.vertices {
-		for i < n && w.in.dst[i] < v.ID {
-			i++ // message to an absent id: dropped, as before
+	for p, v := range w.vertices {
+		var msgs []Message
+		if hasMail {
+			lo, hi := w.off[p], w.off[p+1]
+			msgs = w.sorted[lo:hi:hi]
+			if comb != nil && len(msgs) > 1 {
+				// Receiver-side pass: sender-side combining already folded
+				// each worker's own traffic, this folds across source
+				// workers in arrival order.
+				m := msgs[0]
+				for _, x := range msgs[1:] {
+					m = comb(m, x)
+				}
+				msgs[0] = m
+				msgs = msgs[:1:1]
+			}
 		}
-		j := i
-		for j < n && w.in.dst[j] == v.ID {
-			j++
-		}
-		msgs := w.in.msg[i:j:j]
-		i = j
 		if v.halted && len(msgs) == 0 {
 			continue
 		}
@@ -435,12 +426,58 @@ func (e *Engine) runWorker(w *worker, step int) {
 		ctx.vertex = v
 		e.opts.Compute(ctx, v, msgs)
 	}
+	if hasMail {
+		clear(w.sorted)
+		w.sorted = w.sorted[:0]
+	}
 	w.in.reset()
+}
+
+// sortInbox groups w's inbox into per-vertex runs with a stable counting
+// sort on local positions, in O(messages + vertices): afterwards the
+// messages of the vertex at position p are w.sorted[w.off[p]:w.off[p+1]],
+// in arrival order. Every inbox entry addresses a vertex of w: Send drops
+// out-of-range ids, and the TCP transport and snapshot restore reject
+// misaddressed ones.
+func (e *Engine) sortInbox(w *worker) {
+	n := len(w.vertices)
+	// off[p+2] counts position p, so the prefix sum leaves off[p+1] at the
+	// start of p's run and the scatter advances it to the run's end: then
+	// off[p] and off[p+1] bound every run p.
+	off := slices.Grow(w.off[:0], n+2)[:n+2]
+	clear(off)
+	key := w.key[:0]
+	for _, dst := range w.in.dst {
+		p := e.pos[dst]
+		key = append(key, p)
+		off[p+2]++
+	}
+	for i := 2; i <= n+1; i++ {
+		off[i] += off[i-1]
+	}
+	sorted := slices.Grow(w.sorted[:0], len(w.in.msg))[:len(w.in.msg)]
+	for i, m := range w.in.msg {
+		p := key[i]
+		sorted[off[p+1]] = m
+		off[p+1]++
+	}
+	w.key, w.off, w.sorted = key, off, sorted
+}
+
+// owns reports whether dst is a vertex of worker w: what the transport and
+// snapshot restore check before an envelope may enter w's inbox.
+func (e *Engine) owns(w int, dst VertexID) bool {
+	return dst >= 0 && dst < VertexID(len(e.vertices)) && e.workerOf(dst) == w
 }
 
 // Vertex returns the vertex with the given id (nil if absent). Intended for
 // result extraction after Run.
-func (e *Engine) Vertex(id VertexID) *Vertex { return e.vertexIndex[id] }
+func (e *Engine) Vertex(id VertexID) *Vertex {
+	if id < 0 || id >= VertexID(len(e.vertices)) {
+		return nil
+	}
+	return e.vertices[id]
+}
 
 // Workers returns the configured worker count.
 func (e *Engine) Workers() int { return len(e.workers) }

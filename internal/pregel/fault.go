@@ -57,6 +57,21 @@ func (e *ComputeError) Error() string {
 
 func (e *ComputeError) Unwrap() error { return e.Err }
 
+// FrameError reports a malformed transport frame: the envelope at index
+// Envelope failed to decode or is misaddressed (Envelope equals the frame's
+// count when the payload runs past its last envelope). The TCP transport
+// wraps it in a *WorkerFailure, blaming the sender.
+type FrameError struct {
+	Envelope int
+	Err      error
+}
+
+func (e *FrameError) Error() string {
+	return fmt.Sprintf("pregel: malformed frame at envelope %d: %v", e.Envelope, e.Err)
+}
+
+func (e *FrameError) Unwrap() error { return e.Err }
+
 // FaultPlan schedules deterministic faults for a FaultyTransport. The zero
 // value injects nothing.
 type FaultPlan struct {

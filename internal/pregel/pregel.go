@@ -11,18 +11,29 @@
 //
 // The message plane is layered:
 //
-//   - engine.go runs supersteps and delivers sorted message runs to vertices;
+//   - engine.go runs supersteps and delivers per-vertex message runs;
 //   - codec.go turns typed messages into flat, length-prefixed bytes (and
 //     makes byte accounting measured rather than estimated);
 //   - transport.go moves batches between workers — in-process by default, or
 //     over loopback TCP sockets with real framing and serialization.
 //
+// Vertex ids are dense: an engine over N vertices requires ids exactly
+// 0..N-1 (NewEngine rejects anything else). The hot path leans on that
+// contract instead of hash maps. Vertices live in an id-indexed slice, a
+// worker's sender-side combiner finds the pending envelope for a
+// destination through an id-indexed slot array, and a receiving worker
+// groups its inbox into per-vertex runs with a stable counting sort on
+// local vertex positions, in O(messages + vertices). Sharding stays a hash
+// of the id, so dense ids spread evenly across workers.
+//
 // Options.Combiner is applied sender-side, in the per-destination outbox, so
 // it reduces the message and byte counts that actually cross the transport
-// (and a receiver-side pass folds across source workers). Message and byte
-// counts are tracked per superstep, distinguishing intra-worker from
-// cross-worker traffic, so communication-complexity claims can be measured
-// rather than asserted.
+// (and a receiver-side pass folds across source workers). A combiner may
+// fold in place: messages belong to the engine once sent, so a combiner may
+// mutate and return its first argument, and pointer message types then
+// combine without allocating. Message and byte counts are tracked per
+// superstep, distinguishing intra-worker from cross-worker traffic, so
+// communication-complexity claims can be measured rather than asserted.
 package pregel
 
 import (
@@ -30,8 +41,9 @@ import (
 	"time"
 )
 
-// VertexID identifies a vertex. IDs need not be dense, but dense ids give
-// the most even sharding.
+// VertexID identifies a vertex. The ids of an engine's N vertices must be
+// exactly 0..N-1 (in any order); the engine indexes its per-vertex arrays
+// by id.
 type VertexID int64
 
 // Message is the unit of communication between vertices.
@@ -59,23 +71,34 @@ type Context struct {
 func (c *Context) Superstep() int { return c.superstep }
 
 // NumVertices returns the total vertex count.
-func (c *Context) NumVertices() int { return len(c.engine.vertexIndex) }
+func (c *Context) NumVertices() int { return len(c.engine.vertices) }
 
 // Send delivers a message to dst at the start of the next superstep. With a
 // combiner configured, messages for the same destination vertex are folded
 // in the outbox immediately, so at most one envelope per (source worker,
 // destination vertex) pair reaches the transport.
+//
+// A sent message belongs to the engine: the combiner may mutate it in
+// place, so a sender must never send one pointer twice or touch a message
+// after sending it. A Send to an id outside [0, NumVertices()) is dropped
+// here, at the sender: it is never buffered, counted in Stats, or shipped.
 func (c *Context) Send(dst VertexID, m Message) {
-	w := c.engine.workerOf(dst)
-	ob := &c.worker.out[w]
-	if comb := c.engine.opts.Combiner; comb != nil {
-		if i, ok := ob.idx[dst]; ok {
-			ob.env[i].msg = comb(ob.env[i].msg, m)
+	e, w := c.engine, c.worker
+	if uint64(dst) >= uint64(len(e.vertices)) {
+		return
+	}
+	if comb := e.opts.Combiner; comb != nil {
+		if i := w.slot[dst]; i != 0 {
+			ob := w.out[e.workerOf(dst)]
+			ob[i-1].msg = comb(ob[i-1].msg, m)
 			return
 		}
-		ob.idx[dst] = len(ob.env)
 	}
-	ob.env = append(ob.env, envelope{dst: dst, msg: m})
+	d := e.workerOf(dst)
+	if w.slot != nil {
+		w.slot[dst] = int32(len(w.out[d]) + 1)
+	}
+	w.out[d] = append(w.out[d], envelope{dst: dst, msg: m})
 }
 
 // Aggregate folds a value into the named aggregator; the master sees the
@@ -238,6 +261,12 @@ type Options struct {
 	// computation can address to one vertex within one superstep (protocols
 	// that keep per-destination traffic kind-homogeneous, like distshp's,
 	// may legitimately panic on cross-kind pairs to surface violations).
+	//
+	// Ownership: a message belongs to the engine once sent, so the combiner
+	// may mutate its first argument and return it (folding pointer messages
+	// in place), and must not retain either argument otherwise. In turn a
+	// sender must never send one pointer twice — two envelopes sharing a
+	// pointer would see each other's folds.
 	Combiner func(a, b Message) Message
 
 	// Checkpointer, if set, enables superstep checkpointing: the engine

@@ -48,9 +48,8 @@ func (memoryTransport) close() error        { return nil }
 func (memoryTransport) exchange(e *Engine, step int) (int64, error) {
 	var bytes int64
 	for _, src := range e.workers {
-		for dst := range src.out {
-			ob := &src.out[dst]
-			for _, env := range ob.env {
+		for _, ob := range src.out {
+			for _, env := range ob {
 				bytes += e.sizeOf(env)
 			}
 		}
@@ -60,8 +59,7 @@ func (memoryTransport) exchange(e *Engine, step int) (int64, error) {
 	par.Each(len(e.workers), func(dst int) {
 		w := e.workers[dst]
 		for src := range e.workers {
-			ob := &e.workers[src].out[dst]
-			for _, env := range ob.env {
+			for _, env := range e.workers[src].out[dst] {
 				w.in.push(env)
 			}
 		}
@@ -87,6 +85,10 @@ func (e *Engine) sizeOf(env envelope) int64 {
 	return 0
 }
 
+// maxReusedPayload bounds the receive buffer the TCP transport keeps per
+// (dst, src) pair between frames.
+const maxReusedPayload = 64 << 10
+
 // frameHeaderSize is the fixed per-batch framing overhead on the TCP wire:
 // payload length, superstep (desync check), and envelope count.
 const frameHeaderSize = 12
@@ -106,6 +108,7 @@ type tcpTransport struct {
 	send      [][]net.Conn // [src][dst], nil on the diagonal
 	recv      [][]net.Conn // [dst][src], nil on the diagonal
 	encBuf    [][][]byte   // [src][dst] reusable frame buffers
+	decBuf    [][][]byte   // [dst][src] reusable payload buffers
 	staging   [][][]envelope
 }
 
@@ -118,6 +121,7 @@ func (t *tcpTransport) start(e *Engine) error {
 	t.send = make([][]net.Conn, n)
 	t.recv = make([][]net.Conn, n)
 	t.encBuf = make([][][]byte, n)
+	t.decBuf = make([][][]byte, n)
 	t.staging = make([][][]envelope, n)
 	for i := 0; i < n; i++ {
 		ln, err := net.Listen("tcp", "127.0.0.1:0")
@@ -129,6 +133,7 @@ func (t *tcpTransport) start(e *Engine) error {
 		t.send[i] = make([]net.Conn, n)
 		t.recv[i] = make([]net.Conn, n)
 		t.encBuf[i] = make([][]byte, n)
+		t.decBuf[i] = make([][]byte, n)
 		t.staging[i] = make([][]envelope, n)
 	}
 
@@ -230,7 +235,7 @@ func (t *tcpTransport) exchange(e *Engine, step int) (int64, error) {
 		for dst := 0; dst < n; dst++ {
 			if dst == src {
 				// Local traffic short-circuits the wire.
-				t.staging[src][src] = append(t.staging[src][src][:0], e.workers[src].out[src].env...)
+				t.staging[src][src] = append(t.staging[src][src][:0], e.workers[src].out[src]...)
 				continue
 			}
 			wg.Add(1)
@@ -283,14 +288,14 @@ func (t *tcpTransport) exchange(e *Engine, step int) (int64, error) {
 // writeFrame encodes worker src's outbox for dst and ships it, returning the
 // bytes written (header included).
 func (t *tcpTransport) writeFrame(e *Engine, src, dst, step int) (int64, error) {
-	ob := &e.workers[src].out[dst]
+	ob := e.workers[src].out[dst]
 	buf := t.encBuf[src][dst]
 	if cap(buf) < frameHeaderSize {
 		buf = make([]byte, frameHeaderSize, 256)
 	}
 	buf = buf[:frameHeaderSize]
 	var err error
-	for _, env := range ob.env {
+	for _, env := range ob {
 		if buf, err = e.opts.Codecs.appendEnvelope(buf, env); err != nil {
 			return 0, err
 		}
@@ -302,7 +307,7 @@ func (t *tcpTransport) writeFrame(e *Engine, src, dst, step int) (int64, error) 
 	}
 	binary.LittleEndian.PutUint32(buf[0:4], uint32(len(buf)-frameHeaderSize))
 	binary.LittleEndian.PutUint32(buf[4:8], uint32(step))
-	binary.LittleEndian.PutUint32(buf[8:12], uint32(len(ob.env)))
+	binary.LittleEndian.PutUint32(buf[8:12], uint32(len(ob)))
 	t.encBuf[src][dst] = buf
 	conn := t.send[src][dst]
 	if d := e.opts.FrameTimeout; d > 0 {
@@ -338,24 +343,57 @@ func (t *tcpTransport) readFrame(e *Engine, src, dst, step int) error {
 	if payloadLen > 1<<30 {
 		return fmt.Errorf("oversized frame (%d bytes)", payloadLen)
 	}
-	payload := make([]byte, payloadLen)
+	// Frames up to maxReusedPayload decode from a per-(dst, src) buffer,
+	// which is safe because codecs copy out of the bytes they decode. Larger
+	// frames (level-start registration traffic, a few per run) get a fresh
+	// buffer: keeping one would pin megabytes per pair for the whole run.
+	payload := t.decBuf[dst][src]
+	if cap(payload) < int(payloadLen) {
+		payload = make([]byte, payloadLen)
+		if payloadLen <= maxReusedPayload {
+			t.decBuf[dst][src] = payload
+		}
+	}
+	payload = payload[:payloadLen]
 	if _, err := io.ReadFull(conn, payload); err != nil {
 		return err
 	}
-	envs := t.staging[dst][src][:0]
-	for i := uint32(0); i < count; i++ {
-		env, used, err := e.opts.Codecs.decodeEnvelope(payload)
+	envs, err := decodeFrame(e.opts.Codecs, payload, count, t.staging[dst][src][:0])
+	if err != nil {
+		return err
+	}
+	for i, env := range envs {
+		if !e.owns(dst, env.dst) {
+			return &FrameError{Envelope: i, Err: fmt.Errorf("vertex %d is not on worker %d", env.dst, dst)}
+		}
+	}
+	t.staging[dst][src] = envs
+	return nil
+}
+
+// decodeFrame decodes a frame payload of count envelopes, appending them to
+// envs. The payload must hold exactly count canonical envelopes; anything
+// else — truncation, trailing bytes, an unknown codec id, a non-minimal
+// varint — is a *FrameError, so an accepted frame re-encodes to the same
+// bytes.
+func decodeFrame(reg *Registry, payload []byte, count uint32, envs []envelope) ([]envelope, error) {
+	// Every envelope takes at least two bytes (destination and codec id):
+	// reject impossible counts before looping over them.
+	if uint64(count) > uint64(len(payload))/2 {
+		return envs, &FrameError{Envelope: 0, Err: fmt.Errorf("%d bytes cannot hold %d envelopes", len(payload), count)}
+	}
+	for i := 0; i < int(count); i++ {
+		env, used, err := reg.decodeEnvelope(payload)
 		if err != nil {
-			return err
+			return envs, &FrameError{Envelope: i, Err: err}
 		}
 		payload = payload[used:]
 		envs = append(envs, env)
 	}
 	if len(payload) != 0 {
-		return fmt.Errorf("%d trailing bytes after %d envelopes", len(payload), count)
+		return envs, &FrameError{Envelope: int(count), Err: fmt.Errorf("%d trailing bytes", len(payload))}
 	}
-	t.staging[dst][src] = envs
-	return nil
+	return envs, nil
 }
 
 func (t *tcpTransport) close() error {

@@ -2,6 +2,7 @@ package serve
 
 import (
 	"encoding/json"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -150,5 +151,40 @@ func TestHTTPDeltaBodyCap(t *testing.T) {
 	}
 	if got := s.session.Graph().NumQueries(); got != nq+1 {
 		t.Fatalf("body within the cap: %d queries, want %d", got, nq+1)
+	}
+}
+
+// TestHTTPDeltaAtomic: a POST /delta trace whose last batch is invalid is
+// rejected with 400 and applies none of its batches, so resending the
+// corrected trace applies each batch once.
+func TestHTTPDeltaAtomic(t *testing.T) {
+	s := testService(t, 37, 0)
+	h := s.Handler()
+	before := s.Current()
+	nq := s.session.Graph().NumQueries()
+
+	good := "addq 1 0 1 2\ncommit\naddq 1 3 4\ncommit\n"
+	w := doJSON(t, h, "POST", "/delta?repartition=1", good+fmt.Sprintf("rmq %d\ncommit\n", nq+10), nil)
+	if w.Code != http.StatusBadRequest {
+		t.Fatalf("invalid batch: status %d, want 400: %s", w.Code, w.Body.String())
+	}
+	if got := s.Current(); got != before {
+		t.Fatalf("rejected trace published epoch %d", got.ID)
+	}
+	if got := s.session.Graph().NumQueries(); got != nq {
+		t.Fatalf("rejected trace applied batches: %d -> %d queries", nq, got)
+	}
+
+	var reply struct {
+		Applied int `json:"applied"`
+	}
+	if w := doJSON(t, h, "POST", "/delta", good, &reply); w.Code != http.StatusOK {
+		t.Fatalf("corrected trace: status %d: %s", w.Code, w.Body.String())
+	}
+	if reply.Applied != 2 {
+		t.Fatalf("corrected trace applied %d batches, want 2", reply.Applied)
+	}
+	if got := s.session.Graph().NumQueries(); got != nq+2 {
+		t.Fatalf("corrected trace: %d queries, want %d", got, nq+2)
 	}
 }

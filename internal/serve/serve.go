@@ -217,8 +217,10 @@ func (s *Service) ApplyDelta(d *hypergraph.Delta) error {
 }
 
 // ApplyTrace reads a delta trace (hgio trace format) and applies every
-// batch in order, returning the number applied. Batches already applied
-// when an error occurs stay applied.
+// batch in order, returning the number applied. The call is atomic: the
+// whole chained trace is validated before batch 0 applies, so a trace with
+// any bad batch returns (0, err) and leaves the graph and the published
+// epoch untouched — a client may fix it and retry without double-applying.
 func (s *Service) ApplyTrace(r io.Reader) (int, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -226,6 +228,9 @@ func (s *Service) ApplyTrace(r io.Reader) (int, error) {
 	deltas, err := hgio.ReadDeltaTrace(r, g.NumQueries(), g.NumData())
 	if err != nil {
 		return 0, err
+	}
+	if err := g.CheckChain(deltas); err != nil {
+		return 0, fmt.Errorf("serve: trace rejected, nothing applied: %w", err)
 	}
 	for i, d := range deltas {
 		if err := s.session.Apply(d); err != nil {

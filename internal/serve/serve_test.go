@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"runtime"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -245,5 +246,53 @@ func TestRunChurnStopsOnCancel(t *testing.T) {
 	}
 	if s.Current().ID == 0 {
 		t.Fatal("background churn never published an epoch")
+	}
+}
+
+// TestApplyTraceAtomic pins ApplyTrace's all-or-nothing contract: a chained
+// trace whose batch N is invalid applies nothing — not even batches < N —
+// so the graph, the epoch, and the next Repartition are exactly as before,
+// and retrying the corrected trace applies every batch exactly once.
+func TestApplyTraceAtomic(t *testing.T) {
+	s := testService(t, 36, 0)
+	g := s.session.Graph()
+	nq, nd := g.NumQueries(), g.NumData()
+	// Batch 0 adds a data vertex; batch 1 links it into a new hyperedge,
+	// which is valid only because batch 0 applies first.
+	good := fmt.Sprintf("addd 1\ncommit\naddq 1 0 %d\ncommit\n", nd)
+	bad := []struct{ name, trace string }{
+		{"out-of-range remove", good + fmt.Sprintf("rmq %d\ncommit\n", nq+5)},
+		{"unknown data member", good + fmt.Sprintf("addq 1 0 %d\ncommit\n", nd+1)},
+		{"bad weight", good + "setw 0 0\ncommit\n"},
+		{"bad first batch", fmt.Sprintf("addq 1 %d\ncommit\n", nd) + good},
+	}
+	for _, tc := range bad {
+		name, trace := tc.name, tc.trace
+		before, version := s.Current(), g.Version()
+		applied, err := s.ApplyTrace(strings.NewReader(trace))
+		if err == nil || applied != 0 {
+			t.Fatalf("%s: ApplyTrace = (%d, %v), want (0, error)", name, applied, err)
+		}
+		if g.Version() != version || g.NumQueries() != nq || g.NumData() != nd {
+			t.Fatalf("%s: rejected trace changed the graph: version %d -> %d, %d/%d -> %d/%d vertices",
+				name, version, g.Version(), nq, nd, g.NumQueries(), g.NumData())
+		}
+		if s.Current() != before {
+			t.Fatalf("%s: rejected trace published epoch %d", name, s.Current().ID)
+		}
+	}
+	applied, err := s.ApplyTrace(strings.NewReader(good))
+	if err != nil || applied != 2 {
+		t.Fatalf("corrected trace: ApplyTrace = (%d, %v), want (2, nil)", applied, err)
+	}
+	if g.NumQueries() != nq+1 || g.NumData() != nd+1 {
+		t.Fatalf("corrected trace left %d/%d vertices, want %d/%d", g.NumQueries(), g.NumData(), nq+1, nd+1)
+	}
+	ep, err := s.Repartition()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(ep.Assignment) != nd+1 {
+		t.Fatalf("epoch covers %d data vertices, want %d", len(ep.Assignment), nd+1)
 	}
 }

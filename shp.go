@@ -261,10 +261,9 @@ type DistributedIterRecord = distshp.IterRecord
 // refinement iteration, master-side histogram pairing, and incremental
 // neighbor-data maintenance. K must be a power of two.
 //
-// Deprecated: for in-process dynamic workloads use a Partitioner session
-// (NewPartitioner), which keeps warm state between repartitions; the BSP
-// engine remains the one-shot reference for the paper's distributed mode
-// and has no session equivalent yet.
+// It is the only entry point to the BSP engine: a Partitioner session runs
+// the in-process refiners and has no distributed equivalent, so this is
+// not a convenience wrapper and stays a first-class API.
 func PartitionDistributed(g *Hypergraph, opts DistributedOptions) (*DistributedResult, error) {
 	return distshp.Partition(g, opts)
 }
