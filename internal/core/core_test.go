@@ -139,8 +139,7 @@ func TestGainMatchesObjectiveDelta(t *testing.T) {
 			oth := 1 - cur
 			b.side[v] = oth
 			for _, q := range g.DataNeighbors(v) {
-				b.n[cur][q]--
-				b.n[oth][q]++
+				b.n[q] += sideTransfer[oth]
 			}
 			after := b.objective()
 			// Gain tables are quantized to the dyadic gain grid (see

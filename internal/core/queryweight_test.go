@@ -44,8 +44,7 @@ func TestWeightedGainMatchesObjectiveDelta(t *testing.T) {
 		oth := 1 - cur
 		b.side[v] = oth
 		for _, q := range g.DataNeighbors(v) {
-			b.n[cur][q]--
-			b.n[oth][q]++
+			b.n[q] += sideTransfer[oth]
 		}
 		after := b.objective()
 		return math.Abs((before-after)-gain) < 1e-9

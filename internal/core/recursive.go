@@ -149,7 +149,10 @@ func splitTask(g *hypergraph.Bipartite, opts Options, t rtask, seed uint64,
 		return nil, nil, nil, 0
 	}
 
-	sub, _ := g.InducedByData(t.data, 2)
+	sub := g
+	if !coversGraph(g, t) {
+		sub, _ = g.InducedByData(t.data, 2)
+	}
 
 	if r == 2 {
 		kLeft := (span + 1) / 2
@@ -159,7 +162,14 @@ func splitTask(g *hypergraph.Bipartite, opts Options, t rtask, seed uint64,
 		b := newBisection(sub, opts, seed, level, int(t.lo), kLeft, kRight, propLeft, eps, idealPerBucket, home)
 		side := b.run()
 
-		var left, right []int32
+		nLeft := 0
+		for _, s := range side {
+			if s == 0 {
+				nLeft++
+			}
+		}
+		left := make([]int32, 0, nLeft)
+		right := make([]int32, 0, len(side)-nLeft)
 		for i, d := range t.data {
 			if side[i] == 0 {
 				left = append(left, d)
@@ -208,6 +218,24 @@ func splitTask(g *hypergraph.Bipartite, opts Options, t rtask, seed uint64,
 		work[i].Task = int(t.lo)
 	}
 	return children, hist, work, len(hist)
+}
+
+// coversGraph reports whether task t's induced subproblem is g itself: the
+// task holds every data vertex (task data is always ascending, so it is then
+// exactly 0..n−1) and no hyperedge has fewer than two members, so
+// InducedByData would drop nothing and relabel nothing. The root task of a
+// pruned graph takes this path and skips a full copy of the graph; a graph
+// with degree-0 (tombstoned) or degree-1 hyperedges still induces.
+func coversGraph(g *hypergraph.Bipartite, t rtask) bool {
+	if len(t.data) != g.NumData() {
+		return false
+	}
+	for q := 0; q < g.NumQueries(); q++ {
+		if g.QueryDegree(int32(q)) < 2 {
+			return false
+		}
+	}
+	return true
 }
 
 // childTasks assigns leaf ranges immediately and returns the rest.

@@ -18,8 +18,13 @@ import (
 // Like the SHP-k refiner (direct.go), the bisection runs on the shared
 // incremental-gain kernel (ndstate.go). Its neighbor data is the two-bucket
 // special case of the kernel's per-query segments — a (c0, c1) pair — so
-// the counts live in two dense arrays rather than a sparse CSR, but
-// everything downstream of a count change is the kernel's machinery:
+// each query's counts are packed into one uint64 word (side 0 in the low 32
+// bits, side 1 in the high 32) rather than a sparse CSR: every (vertex,
+// query) read of a gain rebuild, fresh gain or objective is one load. A
+// member moving into side s is one add of sideTransfer[s], and since every
+// move is a ±1 transfer, a batch's net per-query delta is one int32 (side
+// 1's; side 0's is its negation). Everything downstream of a count change
+// is the kernel's machinery:
 //
 //   - Every data vertex carries its Equation 1 state in patchable form:
 //     accOwn = Σ_q wq·T_cur[n_cur(q)−1] and accOth = Σ_q wq·T_oth[n_oth(q)],
@@ -34,9 +39,11 @@ import (
 //     re-walking its whole membership, so frontier cost is O(churn).
 //   - Movers are rebuilt (their own side changed, which swaps the meaning
 //     of the two accumulators), and batches that move more than
-//     1/sweepFallbackDiv of the vertices fall back to a full rebuild sweep.
-//     Every Options.NDRebuildEvery iterations a safety-net recount rebuilds
-//     the maintained counts from scratch.
+//     1/sweepFallbackDiv of the vertices fall back to a full rebuild sweep:
+//     the counts are then recounted query-centrically in parallel
+//     (recountNeighborData, the same pass as initialization and the
+//     Options.NDRebuildEvery safety net) instead of being scattered per
+//     mover.
 //
 // All patch arithmetic lives on the shared dyadic grid, so the patched and
 // rebuilt states are bit-identical, and the engine is pinned byte-identical
@@ -60,22 +67,22 @@ type bisection struct {
 	// eps is the imbalance allowance granted to this recursion level.
 	eps float64
 
-	side []int8     // current side of each data vertex
-	home []int8     // warm-start side, -1 when absent (for MoveCostPenalty)
-	n    [2][]int32 // per-query neighbor counts per side
-	w    [2]int64   // side weights
+	side []int8   // current side of each data vertex
+	home []int8   // warm-start side, -1 when absent (for MoveCostPenalty)
+	n    []uint64 // per-query packed side counts (see sideTransfer)
+	w    [2]int64 // side weights
 
 	// Incremental-engine state (nil when Options.DisableIncremental):
 	// accOwn/accOth are the per-vertex patchable Equation 1 accumulators;
 	// active holds each vertex's pending work (activeRebuild for movers and
 	// full sweeps, activeSelect for patched accumulators); d holds each
-	// dirty query's net per-side count delta for the current batch, dirtyQ
+	// dirty query's net side-1 count delta for the current batch, dirtyQ
 	// the touched queries in first-touch order (deduped by dirtyFlag);
 	// lastMoved collects the batch's movers; pgs is the reusable buffer the
 	// per-dirty-query patch groups land in.
 	accOwn, accOth []float64
 	active         []uint8
-	d              [2][]int32
+	d              []int32
 	dirtyFlag      []uint8
 	dirtyQ         []int32
 	lastMoved      []int32
@@ -178,14 +185,12 @@ func newBisection(g *hypergraph.Bipartite, opts Options, seed uint64, level, tas
 	// sync and coin phases parallelize; the exact pairing needs one global
 	// order and keeps a single shard. Keyed off opts alone, never workers.
 	b.bins = newGainBins(nd, opts.Pairing != PairExact)
-	b.n[0] = make([]int32, nq)
-	b.n[1] = make([]int32, nq)
+	b.n = make([]uint64, nq)
 	if !opts.DisableIncremental {
 		b.accOwn = make([]float64, nd)
 		b.accOth = make([]float64, nd)
 		b.active = make([]uint8, nd)
-		b.d[0] = make([]int32, nq)
-		b.d[1] = make([]int32, nq)
+		b.d = make([]int32, nq)
 		b.dirtyFlag = make([]uint8, nq)
 		b.allActive = true // fresh state: everything needs evaluation
 	}
@@ -276,24 +281,42 @@ func (b *bisection) repairBalance() {
 	}
 }
 
+// sideTransfer[s] is the packed-count increment that moves one member of a
+// query into side s: +1 on side s's word, −1 on the other's. Into side 1 it
+// adds 2³²−1; into side 0 it subtracts 2³²−1 (mod 2⁶⁴). The borrow or carry
+// between the words is exactly the other side's ∓1, and the side a member
+// leaves always counts it, so neither word ever wraps.
+var sideTransfer = [2]uint64{0xFFFF_FFFF_0000_0001, 0x0000_0000_FFFF_FFFF}
+
+// sideCount unpacks side s's count from a packed per-query word.
+func sideCount(x uint64, s int8) int32 {
+	return int32(uint32(x >> (32 * uint(s))))
+}
+
 // recountNeighborData rebuilds the per-query side counts from scratch (the
-// two-bucket form of the kernel's ndBuild).
+// two-bucket form of the kernel's ndBuild): side 1's count is the sum of
+// the members' sides, side 0's the rest, with no branch per member.
 func (b *bisection) recountNeighborData() {
 	nq := b.g.NumQueries()
 	par.For(nq, b.workers, func(start, end int) {
 		for q := start; q < end; q++ {
-			var c0, c1 int32
-			for _, d := range b.g.QueryNeighbors(int32(q)) {
-				if b.side[d] == 0 {
-					c0++
-				} else {
-					c1++
-				}
+			members := b.g.QueryNeighbors(int32(q))
+			var c1 uint64
+			for _, d := range members {
+				c1 += uint64(b.side[d])
 			}
-			b.n[0][q] = c0
-			b.n[1][q] = c1
+			b.n[q] = c1<<32 | (uint64(len(members)) - c1)
 		}
 	})
+}
+
+// transferCounts folds one already-flipped mover's ±1 transfers into the
+// packed side counts.
+func (b *bisection) transferCounts(v int32) {
+	t := sideTransfer[b.side[v]]
+	for _, q := range b.g.DataNeighbors(v) {
+		b.n[q] += t
+	}
 }
 
 // rebuildGain resums vertex v's Equation 1 accumulators from the current
@@ -302,21 +325,24 @@ func (b *bisection) recountNeighborData() {
 // the same counts.
 func (b *bisection) rebuildGain(v int32) int64 {
 	cur := b.side[v]
-	oth := 1 - cur
 	tCur := b.tables[cur].T
-	tOth := b.tables[oth].T
+	tOth := b.tables[1-cur].T
+	shCur := 32 * uint(cur)
+	shOth := 32 - shCur
 	own, sumOth := 0.0, 0.0
 	neighbors := b.g.DataNeighbors(v)
 	if b.qw == nil {
 		for _, q := range neighbors {
-			own += tCur[b.n[cur][q]-1]
-			sumOth += tOth[b.n[oth][q]]
+			x := b.n[q]
+			own += tCur[uint32(x>>shCur)-1]
+			sumOth += tOth[uint32(x>>shOth)]
 		}
 	} else {
 		for _, q := range neighbors {
+			x := b.n[q]
 			wq := b.qw[q]
-			own += wq * tCur[b.n[cur][q]-1]
-			sumOth += wq * tOth[b.n[oth][q]]
+			own += wq * tCur[uint32(x>>shCur)-1]
+			sumOth += wq * tOth[uint32(x>>shOth)]
 		}
 	}
 	b.accOwn[v] = own
@@ -449,7 +475,8 @@ func (b *bisection) objective() float64 {
 		c0 := b.tables[0].C
 		c1 := b.tables[1].C
 		for q := start; q < end; q++ {
-			c := c0[b.n[0][q]] + c1[b.n[1][q]]
+			x := b.n[q]
+			c := c0[uint32(x)] + c1[uint32(x>>32)]
 			if b.qw != nil {
 				c *= b.qw[q]
 			}
@@ -669,33 +696,29 @@ func (b *bisection) applyProbabilistic(iter int) int64 {
 	for _, v := range accepted {
 		decided[v] = false
 	}
-	// Phase 3: neighbor-count updates for surviving moves. Small batches on
-	// the incremental path go through the patch collector (counts, net
-	// deltas, dirty queries, member patches — O(churn·deg), owner-sharded
-	// in parallel past a size gate); everything else takes the parallel
-	// atomic path, with a full rebuild sweep scheduled when the engine is
-	// on.
-	if b.active != nil && len(accepted)*sweepFallbackDiv < nd {
+	// Phase 3: neighbor-count updates for surviving moves. Batches past the
+	// sweep-fallback size recount every query's counts (parallel, query-
+	// centric, O(|E|) like the rebuild sweep scheduled with it). Smaller
+	// batches on the incremental path go through the patch collector
+	// (counts, net deltas, dirty queries, member patches — O(churn·deg),
+	// owner-sharded in parallel past a size gate); on the full path they
+	// transfer their counts directly.
+	switch {
+	case len(accepted)*sweepFallbackDiv >= nd:
+		b.recountNeighborData()
+		if b.active != nil {
+			for i := range b.active {
+				b.active[i] = activeRebuild
+			}
+			b.frontierValid = false
+		}
+	case b.active != nil:
 		b.applyBatchPatched(accepted)
 		b.finishPatch(accepted)
-		return int64(len(accepted))
-	}
-	par.For(len(accepted), b.workers, func(start, end int) {
-		for i := start; i < end; i++ {
-			v := accepted[i]
-			oth := b.side[v] // already flipped
-			cur := 1 - oth
-			for _, q := range b.g.DataNeighbors(v) {
-				atomic.AddInt32(&b.n[cur][q], -1)
-				atomic.AddInt32(&b.n[oth][q], 1)
-			}
+	default:
+		for _, v := range accepted {
+			b.transferCounts(v)
 		}
-	})
-	if b.active != nil {
-		for i := range b.active {
-			b.active[i] = activeRebuild
-		}
-		b.frontierValid = false
 	}
 	return int64(len(accepted))
 }
@@ -706,13 +729,11 @@ func (b *bisection) applyProbabilistic(iter int) int64 {
 // collector; churn-sized batches route through it directly, and first-touch
 // order fixes the dirty list deterministically.
 func (b *bisection) applyMovePatched(v int32) {
-	oth := b.side[v] // already flipped
-	cur := 1 - oth
+	to := b.side[v] // already flipped
+	t, dd := sideTransfer[to], 2*int32(to)-1
 	for _, q := range b.g.DataNeighbors(v) {
-		b.n[cur][q]--
-		b.n[oth][q]++
-		b.d[cur][q]--
-		b.d[oth][q]++
+		b.n[q] += t
+		b.d[q] += dd
 		if b.dirtyFlag[q] == 0 {
 			b.dirtyFlag[q] = 1
 			b.dirtyQ = append(b.dirtyQ, q)
@@ -790,11 +811,8 @@ func (b *bisection) applyBatchPatched(accepted []int32) {
 				continue
 			}
 			for _, u := range route[sw][dw] {
-				from := 1 - u.to
-				b.n[from][u.q]--
-				b.n[u.to][u.q]++
-				b.d[from][u.q]--
-				b.d[u.to][u.q]++
+				b.n[u.q] += sideTransfer[u.to]
+				b.d[u.q] += 2*int32(u.to) - 1
 				if b.dirtyFlag[u.q] == 0 {
 					b.dirtyFlag[u.q] = 1
 					dirty = append(dirty, u.q)
@@ -838,22 +856,25 @@ type patchGroup struct {
 // owning disjoint query shards may run concurrently.
 func (b *bisection) derivePatchGroup(q int32) (patchGroup, bool) {
 	pg := patchGroup{q: q}
+	b.dirtyFlag[q] = 0
+	dd := b.d[q] // side 1's net delta; side 0's is −dd
+	if dd == 0 {
+		return pg, false
+	}
+	b.d[q] = 0
 	wq := 1.0
 	if b.qw != nil {
 		wq = b.qw[q]
 	}
-	for s := int32(0); s < 2; s++ {
-		if dd := b.d[s][q]; dd != 0 {
-			cNew := b.n[s][q]
-			cOld := cNew - dd
-			pg.own[s] = wq * b.tables[s].DeltaOwn(cOld, cNew)
-			pg.away[s] = wq * b.tables[s].DeltaAway(cOld, cNew)
-			pg.nrec++
-			b.d[s][q] = 0
-		}
+	x := b.n[q]
+	for s, net := range [2]int32{-dd, dd} {
+		cNew := sideCount(x, int8(s))
+		cOld := cNew - net
+		pg.own[s] = wq * b.tables[s].DeltaOwn(cOld, cNew)
+		pg.away[s] = wq * b.tables[s].DeltaAway(cOld, cNew)
 	}
-	b.dirtyFlag[q] = 0
-	return pg, pg.nrec > 0
+	pg.nrec = 2
+	return pg, true
 }
 
 // finishPatch closes a patched move batch: each dirty query's patch group
@@ -959,7 +980,7 @@ func (b *bisection) finishPatch(movers []int32) {
 func (b *bisection) discardPatch() {
 	b.pgsReady = false
 	for _, q := range b.dirtyQ {
-		b.d[0][q], b.d[1][q] = 0, 0
+		b.d[q] = 0
 		b.dirtyFlag[q] = 0
 	}
 	b.dirtyQ = b.dirtyQ[:0]
@@ -975,17 +996,20 @@ func (b *bisection) discardPatch() {
 // pairing's mid-batch re-check.
 func (b *bisection) freshGain(v int32) float64 {
 	cur := b.side[v]
-	oth := 1 - cur
 	tCur := b.tables[cur].T
-	tOth := b.tables[oth].T
+	tOth := b.tables[1-cur].T
+	shCur := 32 * uint(cur)
+	shOth := 32 - shCur
 	sum := 0.0
 	if b.qw == nil {
 		for _, q := range b.g.DataNeighbors(v) {
-			sum += tCur[b.n[cur][q]-1] - tOth[b.n[oth][q]]
+			x := b.n[q]
+			sum += tCur[uint32(x>>shCur)-1] - tOth[uint32(x>>shOth)]
 		}
 	} else {
 		for _, q := range b.g.DataNeighbors(v) {
-			sum += b.qw[q] * (tCur[b.n[cur][q]-1] - tOth[b.n[oth][q]])
+			x := b.n[q]
+			sum += b.qw[q] * (tCur[uint32(x>>shCur)-1] - tOth[uint32(x>>shOth)])
 		}
 	}
 	g := b.tables[0].mult * sum
@@ -1015,10 +1039,7 @@ func (b *bisection) moveExact(v int32) {
 		b.lastMoved = append(b.lastMoved, v)
 		return
 	}
-	for _, q := range b.g.DataNeighbors(v) {
-		b.n[cur][q]--
-		b.n[oth][q]++
-	}
+	b.transferCounts(v)
 }
 
 // applyExact runs the "ideal serial implementation" the paper describes as

@@ -66,9 +66,9 @@ func TestBisectionDeltaPatchProperty(t *testing.T) {
 			ref.allActive = true
 			ref.computeGains()
 			for q := 0; q < g.NumQueries(); q++ {
-				if b.n[0][q] != ref.n[0][q] || b.n[1][q] != ref.n[1][q] {
+				if b.n[q] != ref.n[q] {
 					t.Fatalf("seed %d round %d query %d: maintained counts (%d, %d) != rebuilt (%d, %d)",
-						seed, round, q, b.n[0][q], b.n[1][q], ref.n[0][q], ref.n[1][q])
+						seed, round, q, sideCount(b.n[q], 0), sideCount(b.n[q], 1), sideCount(ref.n[q], 0), sideCount(ref.n[q], 1))
 				}
 			}
 			for v := 0; v < g.NumData(); v++ {

@@ -664,40 +664,66 @@ func PruneTrivialQueries(g *Bipartite, minDegree int) *Bipartite {
 // InducedByData returns the subgraph induced by the given data vertices:
 // data vertices are relabeled 0..len(dataIDs)-1 in the given order, and only
 // hyperedges with at least minQueryDegree members inside the subset are kept
-// (relabeled densely). It returns the subgraph and the kept original query
-// ids aligned with the new query ids.
+// (relabeled densely, in ascending original id order). It returns the
+// subgraph and the kept original query ids aligned with the new query ids.
+// dataIDs must be distinct.
+//
+// The cost is the subset's incidences (a count pass and a fill pass over
+// their reverse lists) plus O(|Q|) over the parent's query counts, so the
+// disjoint subsets of one recursion level cost O(|E|) together. The result
+// is compact, and its adjacency lists are ascending in both directions
+// whatever the order of dataIDs.
 //
 // This is the substrate for recursive bisection: each recursion step operates
 // on the compact induced problem (Section 3.3, "Recursive partitioning").
 func (g *Bipartite) InducedByData(dataIDs []int32, minQueryDegree int) (*Bipartite, []int32) {
-	dmap := make([]int32, g.numD)
-	for i := range dmap {
-		dmap[i] = -1
-	}
-	// When dataIDs is strictly increasing (the recursive partitioner always
-	// passes monotone subsets), dmap preserves order and the filtered
-	// adjacency lists come out sorted for free.
-	monotone := true
-	for newID, d := range dataIDs {
-		dmap[d] = int32(newID)
-		if newID > 0 && d <= dataIDs[newID-1] {
-			monotone = false
-		}
-	}
-	// Count per-query membership inside the subset.
-	qCount := make([]int32, g.numQ)
+	// Count pass: per-query membership inside the subset.
+	qmap := make([]int32, g.numQ)
 	for _, d := range dataIDs {
 		for _, q := range g.DataNeighbors(d) {
-			qCount[q]++
+			qmap[q]++
 		}
 	}
-	keptQ := make([]int32, 0)
-	for q := 0; q < g.numQ; q++ {
-		if int(qCount[q]) >= minQueryDegree {
-			keptQ = append(keptQ, int32(q))
+	// Turn the counts into the monotone query map (old id -> new id, or -1)
+	// and lay out the forward offsets. qOff[i+1] starts as query i's first
+	// slot and serves as its fill cursor, so it ends at the slot after its
+	// last one — the CSR offset — once the fill pass below is done.
+	kept := 0
+	for _, c := range qmap {
+		if int(c) >= minQueryDegree {
+			kept++
 		}
 	}
-	out := &Bipartite{numQ: len(keptQ), numD: len(dataIDs)}
+	keptQ := make([]int32, 0, kept)
+	qOff := make([]int64, 1, kept+1)
+	var total int64
+	for q, c := range qmap {
+		if int(c) < minQueryDegree {
+			qmap[q] = -1
+			continue
+		}
+		qmap[q] = int32(len(keptQ))
+		keptQ = append(keptQ, int32(q))
+		qOff = append(qOff, total)
+		total += int64(c)
+	}
+	out := &Bipartite{numQ: len(keptQ), numD: len(dataIDs), qOff: qOff}
+	out.qAdj = make([]int32, total)
+	out.dAdj = make([]int32, 0, total)
+	out.dOff = make([]int64, len(dataIDs)+1)
+	// Fill pass, in ascending new data id: each data vertex's mapped reverse
+	// list stays ascending (the map is monotone), and appending the data id
+	// to each of its queries keeps every forward list ascending too.
+	for i, d := range dataIDs {
+		for _, q := range g.DataNeighbors(d) {
+			if nq := qmap[q]; nq >= 0 {
+				out.dAdj = append(out.dAdj, nq)
+				out.qAdj[qOff[nq+1]] = int32(i)
+				qOff[nq+1]++
+			}
+		}
+		out.dOff[i+1] = int64(len(out.dAdj))
+	}
 	if g.dWeight != nil {
 		out.dWeight = make([]int32, len(dataIDs))
 		for i, d := range dataIDs {
@@ -710,31 +736,7 @@ func (g *Bipartite) InducedByData(dataIDs []int32, minQueryDegree int) (*Biparti
 			out.qWeight[i] = g.qWeight[q]
 		}
 	}
-	out.qOff = make([]int64, len(keptQ)+1)
-	var total int64
-	for i, q := range keptQ {
-		total += int64(qCount[q])
-		out.qOff[i+1] = total
-	}
-	out.qAdj = make([]int32, total)
-	par.For(len(keptQ), 0, func(start, end int) {
-		for i := start; i < end; i++ {
-			q := keptQ[i]
-			dst := out.qAdj[out.qOff[i]:out.qOff[i+1]]
-			n := 0
-			for _, d := range g.QueryNeighbors(q) {
-				if nd := dmap[d]; nd >= 0 {
-					dst[n] = nd
-					n++
-				}
-			}
-			if !monotone {
-				// dmap is order-dependent, so re-sort for the CSR invariant.
-				sort.Slice(dst, func(a, b int) bool { return dst[a] < dst[b] })
-			}
-		}
-	})
-	out.rebuildReverse()
+	out.computeMaxQueryDegree()
 	return out, keptQ
 }
 

@@ -1,11 +1,13 @@
 package hypergraph
 
 import (
+	"fmt"
 	"reflect"
 	"sort"
 	"testing"
 	"testing/quick"
 
+	"shp/internal/par"
 	"shp/internal/rng"
 )
 
@@ -359,6 +361,235 @@ func BenchmarkBuild100k(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		if _, err := FromEdges(10000, 20000, edges); err != nil {
 			b.Fatal(err)
+		}
+	}
+}
+
+// inducedByDataReference is the filter-and-transpose InducedByData the
+// one-pass builder replaced, kept as the reference it is pinned against:
+// it rescans every kept query's full parent adjacency through a data map,
+// re-sorts the filtered lists when the subset is not monotone, and
+// transposes the result with rebuildReverse.
+func inducedByDataReference(g *Bipartite, dataIDs []int32, minQueryDegree int) (*Bipartite, []int32) {
+	dmap := make([]int32, g.numD)
+	for i := range dmap {
+		dmap[i] = -1
+	}
+	monotone := true
+	for newID, d := range dataIDs {
+		dmap[d] = int32(newID)
+		if newID > 0 && d <= dataIDs[newID-1] {
+			monotone = false
+		}
+	}
+	qCount := make([]int32, g.numQ)
+	for _, d := range dataIDs {
+		for _, q := range g.DataNeighbors(d) {
+			qCount[q]++
+		}
+	}
+	keptQ := make([]int32, 0)
+	for q := 0; q < g.numQ; q++ {
+		if int(qCount[q]) >= minQueryDegree {
+			keptQ = append(keptQ, int32(q))
+		}
+	}
+	out := &Bipartite{numQ: len(keptQ), numD: len(dataIDs)}
+	if g.dWeight != nil {
+		out.dWeight = make([]int32, len(dataIDs))
+		for i, d := range dataIDs {
+			out.dWeight[i] = g.dWeight[d]
+		}
+	}
+	if g.qWeight != nil {
+		out.qWeight = make([]int32, len(keptQ))
+		for i, q := range keptQ {
+			out.qWeight[i] = g.qWeight[q]
+		}
+	}
+	out.qOff = make([]int64, len(keptQ)+1)
+	var total int64
+	for i, q := range keptQ {
+		total += int64(qCount[q])
+		out.qOff[i+1] = total
+	}
+	out.qAdj = make([]int32, total)
+	par.For(len(keptQ), 0, func(start, end int) {
+		for i := start; i < end; i++ {
+			q := keptQ[i]
+			dst := out.qAdj[out.qOff[i]:out.qOff[i+1]]
+			n := 0
+			for _, d := range g.QueryNeighbors(q) {
+				if nd := dmap[d]; nd >= 0 {
+					dst[n] = nd
+					n++
+				}
+			}
+			if !monotone {
+				sort.Slice(dst, func(a, b int) bool { return dst[a] < dst[b] })
+			}
+		}
+	})
+	out.rebuildReverse()
+	return out, keptQ
+}
+
+// assertSameCompact fails unless got and want are compact graphs with the
+// same offsets and adjacency in both directions, the same weights and the
+// same cached maximum query degree, and got passes Validate.
+func assertSameCompact(t *testing.T, label string, got, want *Bipartite) {
+	t.Helper()
+	if err := got.Validate(); err != nil {
+		t.Fatalf("%s: %v", label, err)
+	}
+	for _, c := range []struct {
+		name      string
+		got, want any
+	}{
+		{"dims", [2]int{got.numQ, got.numD}, [2]int{want.numQ, want.numD}},
+		{"qOff", got.qOff, want.qOff},
+		{"qAdj", got.qAdj, want.qAdj},
+		{"dOff", got.dOff, want.dOff},
+		{"dAdj", got.dAdj, want.dAdj},
+		{"dWeight", got.dWeight, want.dWeight},
+		{"qWeight", got.qWeight, want.qWeight},
+		{"maxQDeg", [2]int{got.maxQDeg, got.maxQDegCount}, [2]int{want.maxQDeg, want.maxQDegCount}},
+		{"mutable", got.qLen != nil, want.qLen != nil},
+	} {
+		if !reflect.DeepEqual(c.got, c.want) {
+			t.Fatalf("%s: %s differs: %v vs %v", label, c.name, c.got, c.want)
+		}
+	}
+}
+
+// churnedGraph returns a random graph, optionally data- and query-weighted,
+// and optionally moved to the mutable layout by deltas that tombstone
+// hyperedges, add degree-1 and larger ones (relocating reverse segments),
+// add data vertices, and reweight data.
+func churnedGraph(t *testing.T, seed uint64, weighted, mutate bool) *Bipartite {
+	t.Helper()
+	r := rng.New(seed ^ 0x5eed)
+	const numQ, numD = 30, 40
+	b := NewBuilder(numQ, numD)
+	for i := 0; i < 160; i++ {
+		b.AddEdge(int32(r.Intn(numQ)), int32(r.Intn(numD)))
+	}
+	if weighted {
+		dw := make([]int32, numD)
+		for i := range dw {
+			dw[i] = int32(1 + r.Intn(9))
+		}
+		qw := make([]int32, numQ)
+		for i := range qw {
+			qw[i] = int32(1 + r.Intn(4))
+		}
+		b.SetDataWeights(dw).SetQueryWeights(qw)
+	}
+	g, err := b.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !mutate {
+		return g
+	}
+	for round := 0; round < 3; round++ {
+		d := NewDelta(g.NumQueries(), g.NumData())
+		for i := 0; i < 4; i++ {
+			d.RemoveHyperedge(int32(r.Intn(g.NumQueries())))
+		}
+		v := d.AddData(int32(1 + r.Intn(3)))
+		d.AddHyperedge(v)
+		for i := 0; i < 6; i++ {
+			members := []int32{v}
+			for j := 0; j < 1+r.Intn(8); j++ {
+				members = append(members, int32(r.Intn(g.NumData())))
+			}
+			d.AddWeightedHyperedge(int32(1+r.Intn(3)), members...)
+		}
+		if weighted {
+			d.SetDataWeight(int32(r.Intn(g.NumData())), int32(1+r.Intn(9)))
+		}
+		if err := g.ApplyDelta(d); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if g.qLen == nil {
+		t.Fatal("deltas left the graph compact")
+	}
+	return g
+}
+
+// TestInducedByDataMatchesReference pins the one-pass InducedByData against
+// the filter-and-transpose reference: same kept queries, offsets, adjacency
+// in both directions, weights and cached max degree, over monotone and
+// shuffled subsets, minQueryDegree 1/2/3, unit and weighted graphs, and
+// compact as well as mutated graphs.
+func TestInducedByDataMatchesReference(t *testing.T) {
+	for seed := uint64(1); seed <= 12; seed++ {
+		for _, weighted := range []bool{false, true} {
+			for _, mutate := range []bool{false, true} {
+				g := churnedGraph(t, seed, weighted, mutate)
+				r := rng.New(seed)
+				var subset []int32
+				for d := 0; d < g.NumData(); d++ {
+					if r.Intn(3) > 0 {
+						subset = append(subset, int32(d))
+					}
+				}
+				shuffled := append([]int32(nil), subset...)
+				r.Shuffle(len(shuffled), func(i, j int) { shuffled[i], shuffled[j] = shuffled[j], shuffled[i] })
+				for _, ids := range [][]int32{subset, shuffled, nil} {
+					for minDeg := 1; minDeg <= 3; minDeg++ {
+						label := fmt.Sprintf("seed %d weighted %v mutated %v |subset| %d minDeg %d", seed, weighted, mutate, len(ids), minDeg)
+						got, gotQ := g.InducedByData(ids, minDeg)
+						want, wantQ := inducedByDataReference(g, ids, minDeg)
+						if !reflect.DeepEqual(gotQ, wantQ) {
+							t.Fatalf("%s: kept queries %v vs %v", label, gotQ, wantQ)
+						}
+						assertSameCompact(t, label, got, want)
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestInducedByDataWholeGraphIsIdentity pins the premise of the recursive
+// partitioner's root-task shortcut: when every hyperedge has at least two
+// members, inducing on all data vertices with minQueryDegree 2 reproduces
+// the graph accessor for accessor, so the root can be bisected in place.
+func TestInducedByDataWholeGraphIsIdentity(t *testing.T) {
+	for seed := uint64(1); seed <= 6; seed++ {
+		for _, weighted := range []bool{false, true} {
+			g := PruneTrivialQueries(churnedGraph(t, seed, weighted, false), 2)
+			// A mutable graph whose hyperedges all have two or more members.
+			m := g.Clone()
+			d := NewDelta(m.NumQueries(), m.NumData())
+			d.AddHyperedge(0, 1, int32(m.NumData()-1))
+			d.AddWeightedHyperedge(2, 2, 3)
+			if err := m.ApplyDelta(d); err != nil {
+				t.Fatal(err)
+			}
+			for _, h := range []*Bipartite{g, m} {
+				all := make([]int32, h.NumData())
+				for i := range all {
+					all[i] = int32(i)
+				}
+				sub, keptQ := h.InducedByData(all, 2)
+				if len(keptQ) != h.NumQueries() {
+					t.Fatalf("seed %d: kept %d of %d queries", seed, len(keptQ), h.NumQueries())
+				}
+				for i, q := range keptQ {
+					if q != int32(i) {
+						t.Fatalf("seed %d: query %d relabeled to %d", seed, q, i)
+					}
+				}
+				assertEdgeIdentical(t, sub, h)
+				if sub.TotalDataWeight() != h.TotalDataWeight() || sub.TotalQueryWeight() != h.TotalQueryWeight() ||
+					sub.Weighted() != h.Weighted() || sub.QueryWeighted() != h.QueryWeighted() {
+					t.Fatalf("seed %d: weight accessors differ", seed)
+				}
+			}
 		}
 	}
 }
