@@ -121,9 +121,10 @@ func BenchmarkPartitionSHPk(b *testing.B) {
 // BenchmarkRefineDelta measures the incremental engine where it matters:
 // warm-started refinement at a controlled churn level. A converged
 // assignment is perturbed by a known moved fraction and re-refined for a
-// fixed number of iterations, with the incremental engine on and off
-// (identical work per Options.DisableIncremental equivalence, so edges/s
-// differences are pure engine overhead/savings).
+// fixed number of iterations, with the default rebuild schedule and with
+// NDRebuildEvery: 1, which rebuilds from scratch every iteration on top of
+// the patching it then discards (identical results, so edges/s differences
+// are pure engine overhead/savings).
 func BenchmarkRefineDelta(b *testing.B) {
 	g := benchGraph(b, "powerlaw-small")
 	const k = 16
@@ -145,15 +146,15 @@ func BenchmarkRefineDelta(b *testing.B) {
 	for _, frac := range []float64{0.01, 0.05, 0.25} {
 		warm := perturb(frac)
 		for _, engine := range []struct {
-			name    string
-			disable bool
-		}{{"incremental", false}, {"full-rebuild", true}} {
+			name         string
+			rebuildEvery int
+		}{{"incremental", 0}, {"full-rebuild", 1}} {
 			b.Run(fmt.Sprintf("moved%g%%-%s", frac*100, engine.name), func(b *testing.B) {
 				var iters int
 				for i := 0; i < b.N; i++ {
 					res, err := shp.Partition(g, shp.Options{
 						K: k, Direct: true, Seed: 2, MaxIters: 6,
-						Initial: warm, DisableIncremental: engine.disable,
+						Initial: warm, NDRebuildEvery: engine.rebuildEvery,
 					})
 					if err != nil {
 						b.Fatal(err)
@@ -311,7 +312,8 @@ func BenchmarkMessagePlane(b *testing.B) {
 }
 
 // BenchmarkDistDelta quantifies the dirty-query delta plane: the
-// "incremental" and "full" runs are byte-identical in quality (pinned by
+// "incremental" run and the "full" one (RebuildEvery: 1, a full gain
+// rebroadcast every iteration) are byte-identical in quality (pinned by
 // TestDistIncrementalMatchesFull), so the interesting metrics are the
 // gain-superstep bytes of late iterations (moved fraction <= 1%), where the
 // delta plane ships churn-proportional traffic while the full rebroadcast
@@ -320,18 +322,18 @@ func BenchmarkMessagePlane(b *testing.B) {
 func BenchmarkDistDelta(b *testing.B) {
 	g := benchGraph(b, "social-small")
 	for _, tc := range []struct {
-		name    string
-		disable bool
+		name         string
+		rebuildEvery int
 	}{
-		{"incremental", false},
-		{"full", true},
+		{"incremental", 0},
+		{"full", 1},
 	} {
 		b.Run(tc.name, func(b *testing.B) {
 			var lateBytes, lateIters, totalBytes float64
 			for i := 0; i < b.N; i++ {
 				res, err := shp.PartitionDistributed(g, shp.DistributedOptions{
 					K: 16, Seed: 1, Workers: 4, MinMoveFraction: 1e-9,
-					DisableIncremental: tc.disable,
+					RebuildEvery: tc.rebuildEvery,
 				})
 				if err != nil {
 					b.Fatal(err)

@@ -50,9 +50,9 @@ import (
 //     iteration for every vertex from the cached accumulators; that argmax
 //     is a few flops per candidate.
 //
-// Options.DisableIncremental replaces all of this with a full neighbor-data
-// rebuild and a full proposal sweep per iteration; both paths produce
-// byte-identical partitions and histories for a fixed seed.
+// Options.NDRebuildEvery: 1 rebuilds the neighbor data and re-evaluates
+// every vertex after each iteration — the from-scratch reference the
+// maintained state is pinned byte-identical against.
 type directState struct {
 	g    *hypergraph.Bipartite
 	opts Options
@@ -87,10 +87,10 @@ type directState struct {
 	target []int32
 	gains  []float64
 
-	// Incremental-engine state (nil/unused when Options.DisableIncremental):
-	// active holds each vertex's pending work — activeRebuild for movers
-	// (and everyone after a fallback sweep or safety-net rebuild),
-	// activeSelect for vertices whose accumulators were patched.
+	// Incremental-engine state: active holds each vertex's pending work —
+	// activeRebuild for movers (and everyone after a fallback sweep or
+	// safety-net rebuild), activeSelect for vertices whose accumulators were
+	// patched.
 	// admiss/prevAdmiss track the per-bucket balance-admissibility vector
 	// between iterations: on unit-weight graphs an untouched vertex under
 	// an unchanged vector would reproduce its previous argmax exactly, so
@@ -230,9 +230,9 @@ const densePairK = 128
 // from-scratch accumulation in any order. Off the grid (non-dyadic P,
 // MoveCostPenalty) the sums carry round-off, but the one canonical update
 // order makes them — and everything downstream — independent of the worker
-// count, and identical between the incremental and the DisableIncremental
-// paths: vertices outside the frontier provably kept their proposal, so
-// both paths apply the same update sequence.
+// count, and identical between frontier passes and from-scratch sweeps
+// (NDRebuildEvery: 1): vertices outside the frontier provably kept their
+// proposal, so both apply the same update sequence.
 //
 // A direction takes a slot on first use and gives it back once its
 // histogram is empty, so only directions actually proposed hold a 2 KiB
@@ -477,7 +477,7 @@ func newDirectState(g *hypergraph.Bipartite, opts Options, seed uint64, spans []
 	st.propBase = make([]float64, nd)
 	st.wdegArr = make([]float64, nd)
 
-	st.nd = newNDState(g, k, st.workers, !opts.DisableIncremental)
+	st.nd = newNDState(g, k, st.workers)
 	st.pairs = newPairHists(k, nd)
 	if g.QueryWeighted() {
 		st.qw = make([]float64, nq)
@@ -499,10 +499,8 @@ func newDirectState(g *hypergraph.Bipartite, opts Options, seed uint64, spans []
 		}
 	})
 
-	if !opts.DisableIncremental {
-		st.active = make([]uint8, nd)
-		st.markAllActive() // fresh state: everything needs evaluation
-	}
+	st.active = make([]uint8, nd)
+	st.markAllActive() // fresh state: everything needs evaluation
 
 	if opts.Initial != nil {
 		copy(st.bucket, opts.Initial)
@@ -919,19 +917,18 @@ func (st *directState) selectProposal(v int) (int32, float64) {
 }
 
 // computeProposals brings every vertex's proposal up to date: rebuild the
-// Equation 1 state of vertices flagged for rebuild (all of them in full
-// mode), then run the balance-filtered argmax. On unit-weight graphs the
-// argmax of an untouched vertex is skipped entirely when the per-bucket
-// admissibility vector is unchanged from the previous iteration — its
-// cached target and gain are exactly what a re-run would produce. Finally
-// the pass's vertices are reconciled into the maintained pair histograms
-// in ascending order (see pairHists).
+// Equation 1 state of vertices flagged for rebuild, then run the
+// balance-filtered argmax. On unit-weight graphs the argmax of an untouched
+// vertex is skipped entirely when the per-bucket admissibility vector is
+// unchanged from the previous iteration — its cached target and gain are
+// exactly what a re-run would produce. Finally the pass's vertices are
+// reconciled into the maintained pair histograms in ascending order (see
+// pairHists).
 func (st *directState) computeProposals() {
 	nd := st.g.NumData()
 	scratch := st.proposalScratches()
-	full := st.opts.DisableIncremental
 	st.refreshAdmissibility()
-	skipStable := !full && st.admissSame && !st.g.Weighted() && !st.forceSelect
+	skipStable := st.admissSame && !st.g.Weighted() && !st.forceSelect
 	st.forceSelect = false
 	var work int64
 	if skipStable && st.frontierValid {
@@ -966,7 +963,7 @@ func (st *directState) computeProposals() {
 		s := scratch[w]
 		var local int64
 		for v := start; v < end; v++ {
-			if full || st.active[v] == activeRebuild {
+			if st.active[v] == activeRebuild {
 				st.rebuildVertex(s, v)
 				local += int64(len(st.g.DataNeighbors(int32(v))))
 			} else if skipStable && st.active[v] == 0 {
@@ -1006,9 +1003,6 @@ func (st *directState) refreshAdmissibility() {
 // markAllActive schedules every vertex for a rebuild (initial iteration,
 // sweep fallback, and safety-net rebuilds).
 func (st *directState) markAllActive() {
-	if st.active == nil {
-		return
-	}
 	for i := range st.active {
 		st.active[i] = activeRebuild
 	}
@@ -1367,12 +1361,11 @@ func (st *directState) refine() {
 	if n == 0 || st.k <= 1 {
 		return
 	}
-	full := st.opts.DisableIncremental
 	rebuildEvery := st.opts.NDRebuildEvery
 	st.objective = st.objectiveFromND()
 	for iter := 0; ; iter++ {
 		if iter > 0 {
-			if full || (rebuildEvery > 0 && iter%rebuildEvery == 0) {
+			if rebuildEvery > 0 && iter%rebuildEvery == 0 {
 				st.buildNeighborData()
 				st.markAllActive()
 				st.objective = st.objectiveFromND()
@@ -1392,9 +1385,7 @@ func (st *directState) refine() {
 		gw0, sw0 := st.gainWork, st.scanWork
 		st.computeProposals()
 		accepted := st.applyMoves(iter)
-		if !full {
-			st.applyNDDeltas(accepted)
-		}
+		st.applyNDDeltas(accepted)
 		moved := int64(len(accepted))
 		st.history = append(st.history, IterStats{
 			Iter: iter, Moved: moved, MovedFraction: float64(moved) / float64(n),

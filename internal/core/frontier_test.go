@@ -57,13 +57,13 @@ func frontierWarmStart(t testing.TB, sides []int8, frac float64) []int8 {
 // TestBisectionFrontierCutsIdleIterationWork pins the tentpole claim with
 // deterministic counters: refining a lightly perturbed warm start, the late
 // iterations (everything after the first, which evaluates all state on both
-// paths) must cost the frontier engine at least 5x fewer gain-plus-scan work
-// units than the full-recomputation path, while producing byte-identical
-// sides and histories. GainWork counts Equation 1 table terms and folded
-// delta records; ScanWork counts per-vertex visits in the gain, bin-sync,
-// coin, apply, and trim phases — together they proxy the whole iteration's
-// memory stream, so an O(|D|) scan hiding anywhere in the loop fails the
-// floor even if the gain math itself is frontier-sized.
+// runs) must cost the frontier engine at least 5x fewer gain-plus-scan work
+// units than the from-scratch reference (NDRebuildEvery: 1), while producing
+// byte-identical sides and histories. GainWork counts Equation 1 table
+// terms and folded delta records; ScanWork counts per-vertex visits in the
+// gain, bin-sync, coin, apply, and trim phases — together they proxy the
+// whole iteration's memory stream, so an O(|D|) scan hiding anywhere in the
+// loop fails the floor even if the gain math itself is frontier-sized.
 func TestBisectionFrontierCutsIdleIterationWork(t *testing.T) {
 	numQ, numD := 1500, 2500
 	g, err := gen.HubPowerLawBipartite(numQ, numD, int64(numD)*8, 2.1, 0.004, numD/8, 9)
@@ -74,17 +74,17 @@ func TestBisectionFrontierCutsIdleIterationWork(t *testing.T) {
 
 	cold := newBisection(g, opts, 11, 0, 0, 1, 1, 0.5, 0.05, 0, nil)
 	home := frontierWarmStart(t, cold.run(), 0.003)
-	run := func(disable bool) *bisection {
+	run := func(rebuildEvery int) *bisection {
 		o := opts
-		o.DisableIncremental = disable
+		o.NDRebuildEvery = rebuildEvery
 		b := newBisection(g, o, 13, 0, 0, 1, 1, 0.5, 0.05, 0, append([]int8(nil), home...))
 		b.run()
 		return b
 	}
-	inc := run(false)
-	full := run(true)
+	inc := run(0)
+	full := run(1)
 	if !slices.Equal(inc.side, full.side) {
-		t.Fatal("incremental and full warm refinements diverged")
+		t.Fatal("incremental and reference warm refinements diverged")
 	}
 	if !reflect.DeepEqual(inc.history, full.history) {
 		t.Fatalf("histories diverged: %+v vs %+v", inc.history, full.history)
@@ -111,13 +111,13 @@ func TestBisectionFrontierCutsIdleIterationWork(t *testing.T) {
 			lateInc, lateFull, len(inc.work)-1)
 	}
 	// The frontier itself must shrink below |D| once the engine settles; the
-	// full path pins lastFrontier at |D| every iteration.
+	// reference (NDRebuildEvery: 1) pins lastFrontier at |D| every iteration.
 	last := inc.work[len(inc.work)-1]
 	if last.Frontier >= int64(numD) {
 		t.Fatalf("final iteration frontier %d did not drop below |D| = %d", last.Frontier, numD)
 	}
 	if fullLast := full.work[len(full.work)-1]; fullLast.Frontier != int64(numD) {
-		t.Fatalf("full path reported frontier %d, want |D| = %d", fullLast.Frontier, numD)
+		t.Fatalf("reference reported frontier %d, want |D| = %d", fullLast.Frontier, numD)
 	}
 	t.Logf("late gain+scan work over %d iterations: frontier %d vs full %d (%.1fx); final frontier %d of %d",
 		len(inc.work)-1, lateInc, lateFull, float64(lateFull)/float64(lateInc), last.Frontier, numD)
@@ -140,18 +140,18 @@ func BenchmarkConvergedIteration(b *testing.B) {
 	cold := newBisection(g, opts, 11, 0, 0, 1, 1, 0.5, 0.05, 0, nil)
 	home := frontierWarmStart(b, cold.run(), 0.001)
 	for _, engine := range []struct {
-		name    string
-		disable bool
-	}{{"frontier", false}, {"full-rebuild", true}} {
+		name         string
+		rebuildEvery int
+	}{{"frontier", 0}, {"full-rebuild", 1}} {
 		b.Run(fmt.Sprintf("moved0.1%%-%s", engine.name), func(b *testing.B) {
 			o := opts
-			o.DisableIncremental = engine.disable
+			o.NDRebuildEvery = engine.rebuildEvery
 			var iters, frontier, work int64
 			for i := 0; i < b.N; i++ {
 				bis := newBisection(g, o, 13, 0, 0, 1, 1, 0.5, 0.05, 0, home)
 				bis.run()
 				// Per-iteration metrics over the late iterations only:
-				// iteration 0 evaluates everything on both paths, and folding
+				// iteration 0 evaluates everything on both arms, and folding
 				// it in would hide exactly the sublinearity being measured.
 				iters, frontier, work = 0, 0, 0
 				for _, w := range bis.work[1:] {

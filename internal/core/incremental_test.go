@@ -14,31 +14,20 @@ import (
 // The incremental refinement engine must be invisible: for a fixed seed,
 // maintaining neighbor data in place and re-evaluating only frontier
 // vertices has to produce byte-identical assignments and iteration
-// histories to rebuilding everything from scratch each iteration. These
-// tests pin that contract for SHP-2, SHP-k, weighted graphs, the pairing
-// protocols, and warm starts, plus a property test for the maintained
-// neighbor data itself.
+// histories to rebuilding everything from scratch each iteration
+// (NDRebuildEvery: 1, the reference). These tests pin that contract for
+// SHP-2, SHP-k, weighted graphs, the pairing protocols, warm starts and
+// small recursion nodes, plus property tests for the maintained neighbor
+// data itself.
 
-// largeRandomBipartite builds a graph big enough that recursive bisection
-// tasks exceed incrementalMinSize and actually exercise the frontier path.
-func largeRandomBipartite(tb testing.TB, seed uint64, numQ, numD, edges int) *hypergraph.Bipartite {
-	tb.Helper()
-	if numD < incrementalMinSize {
-		tb.Fatalf("graph too small to exercise the incremental path: %d < %d", numD, incrementalMinSize)
-	}
-	return randomBipartite(tb, seed, numQ, numD, edges)
-}
-
-// runBoth partitions g twice with only DisableIncremental flipped and
-// asserts identical outcomes.
-func runBoth(t *testing.T, g *hypergraph.Bipartite, opts Options) {
+// runBoth partitions g with opts and with the from-scratch reference
+// (NDRebuildEvery: 1), asserts identical outcomes, and returns both results.
+func runBoth(t *testing.T, g *hypergraph.Bipartite, opts Options) (inc, ref *Result) {
 	t.Helper()
-	inc := opts
-	inc.DisableIncremental = false
 	full := opts
-	full.DisableIncremental = true
+	full.NDRebuildEvery = 1
 
-	ri, err := Partition(g, inc)
+	ri, err := Partition(g, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -70,10 +59,11 @@ func runBoth(t *testing.T, g *hypergraph.Bipartite, opts Options) {
 		}
 		t.Fatalf("history lengths differ: incremental %d, full %d", len(ri.History), len(rf.History))
 	}
+	return ri, rf
 }
 
 func TestIncrementalMatchesFullSHP2(t *testing.T) {
-	g := largeRandomBipartite(t, 11, 3000, 6000, 24000)
+	g := randomBipartite(t, 11, 3000, 6000, 24000)
 	for _, seed := range []uint64{1, 7, 42} {
 		runBoth(t, g, Options{K: 8, Seed: seed})
 	}
@@ -110,7 +100,7 @@ func TestIncrementalMatchesFullWeighted(t *testing.T) {
 }
 
 func TestIncrementalMatchesFullConfigurations(t *testing.T) {
-	g := largeRandomBipartite(t, 13, 2500, 5000, 20000)
+	g := randomBipartite(t, 13, 2500, 5000, 20000)
 	warm := make([]int32, g.NumData())
 	wr := rng.New(3)
 	for i := range warm {
@@ -136,16 +126,58 @@ func TestIncrementalMatchesFullConfigurations(t *testing.T) {
 	}
 }
 
+// TestIncrementalMatchesFullSmallNodes covers recursion nodes of a few
+// dozen to a few hundred vertices — whole graphs of 500–1500 data vertices
+// split to k = 16/32 with r = 2, r = 4 and the exact pairing. Every node
+// runs the incremental path, and must match the reference; the reference
+// visiting more vertices in total shows the incremental run really skipped
+// work.
+func TestIncrementalMatchesFullSmallNodes(t *testing.T) {
+	for _, size := range []struct{ numQ, numD, edges, k int }{
+		{300, 500, 2200, 16},
+		{600, 1000, 4500, 32},
+		{900, 1500, 6500, 32},
+	} {
+		g := randomBipartite(t, uint64(size.numD), size.numQ, size.numD, size.edges)
+		for _, mode := range []struct {
+			name string
+			opts Options
+		}{
+			{"r2", Options{}},
+			{"r4", Options{Branching: 4}},
+			{"exact", Options{Pairing: PairExact}},
+		} {
+			t.Run(fmt.Sprintf("d%d/k%d/%s", size.numD, size.k, mode.name), func(t *testing.T) {
+				opts := mode.opts
+				opts.K = size.k
+				opts.Seed = 4
+				inc, ref := runBoth(t, g, opts)
+				if fi, fr := totalFrontier(inc), totalFrontier(ref); fi >= fr {
+					t.Fatalf("incremental run visited %d vertices, reference %d: no work was skipped", fi, fr)
+				}
+			})
+		}
+	}
+}
+
+func totalFrontier(res *Result) int64 {
+	var sum int64
+	for _, w := range res.Work {
+		sum += w.Frontier
+	}
+	return sum
+}
+
 // TestIncrementalMatchesFullConvergedWarmStart pins the realistic warm-start
 // path: a converged assignment perturbed by a small churn, re-refined with
-// Options.Initial and a MoveCostPenalty. The incremental and full engines
+// Options.Initial and a MoveCostPenalty. The engine and its reference
 // must produce byte-identical results through it, for both SHP-2 and SHP-k,
 // and across penalty strengths (including zero). The random-warm configs in
 // TestIncrementalMatchesFullConfigurations cover the balance-repair path;
 // this covers the converged one, where most gains are negative and the
 // penalty gate actually bites.
 func TestIncrementalMatchesFullConvergedWarmStart(t *testing.T) {
-	g := largeRandomBipartite(t, 19, 2500, 5000, 20000)
+	g := randomBipartite(t, 19, 2500, 5000, 20000)
 	base, err := Partition(g, Options{K: 8, Seed: 6, Direct: true})
 	if err != nil {
 		t.Fatal(err)

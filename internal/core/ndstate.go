@@ -28,8 +28,8 @@ import (
 // its members' accumulators through GainTables.DeltaOwn/DeltaAway.
 // Because every table value lies on the shared dyadic grid (gainGridBits),
 // a patched accumulator is bit-identical to a from-scratch resummation in
-// any order — the property all the "incremental == DisableIncremental"
-// guarantees rest on.
+// any order — the property the "maintained == rebuilt from scratch"
+// guarantees (incremental runs against NDRebuildEvery: 1) rest on.
 //
 // The entry types and slice-level operations are exported so the
 // distributed plane's query vertices can keep their own per-query mirrors
@@ -101,24 +101,24 @@ type ndState struct {
 	ent     []NDEntry
 	entries int64 // total live entries (= summed fanout)
 
-	// Dirty-query diff machinery (unused by refiners running with
-	// DisableIncremental): dirtyFlag dedups dirty queries during delta
-	// application; delta holds the per-owner scratch; updates is the reused
-	// [source][owner] routing buffer of applyMoveBatch.
+	// Dirty-query diff machinery: dirtyFlag dedups dirty queries during
+	// delta application; delta holds the per-owner scratch; updates is the
+	// reused [source][owner] routing buffer of applyMoveBatch.
 	dirtyFlag []uint8
 	delta     []deltaScratch
 	updates   [][][]ndUpdate
 }
 
 // newNDState sizes the CSR for g: a query with degree d can touch at most
-// min(d, k) distinct buckets, so its segment never overflows. When
-// incremental is set the dirty-query scratch for `workers` owner goroutines
-// is allocated too.
-func newNDState(g *hypergraph.Bipartite, k, workers int, incremental bool) *ndState {
+// min(d, k) distinct buckets, so its segment never overflows. The
+// dirty-query scratch is sized for `workers` owner goroutines.
+func newNDState(g *hypergraph.Bipartite, k, workers int) *ndState {
 	nq := g.NumQueries()
 	nd := &ndState{
-		off: make([]int64, nq+1),
-		len: make([]int32, nq),
+		off:       make([]int64, nq+1),
+		len:       make([]int32, nq),
+		dirtyFlag: make([]uint8, nq),
+		delta:     make([]deltaScratch, workers),
 	}
 	for q := 0; q < nq; q++ {
 		c := g.QueryDegree(int32(q))
@@ -128,10 +128,6 @@ func newNDState(g *hypergraph.Bipartite, k, workers int, incremental bool) *ndSt
 		nd.off[q+1] = nd.off[q] + int64(c)
 	}
 	nd.ent = make([]NDEntry, nd.off[nq])
-	if incremental {
-		nd.dirtyFlag = make([]uint8, nq)
-		nd.delta = make([]deltaScratch, workers)
-	}
 	return nd
 }
 
@@ -147,11 +143,9 @@ func (nd *ndState) appendQuery(capacity int32) {
 	nq := len(nd.len)
 	nd.off = append(nd.off, nd.off[nq]+int64(capacity))
 	nd.len = append(nd.len, 0)
+	nd.dirtyFlag = append(nd.dirtyFlag, 0)
 	if need := nd.off[nq+1]; int64(len(nd.ent)) < need {
 		nd.ent = append(nd.ent, make([]NDEntry, need-int64(len(nd.ent)))...)
-	}
-	if nd.dirtyFlag != nil {
-		nd.dirtyFlag = append(nd.dirtyFlag, 0)
 	}
 }
 

@@ -10,13 +10,17 @@ import (
 	"shp/internal/partition"
 )
 
-// The maintained SHP-k master state must be invisible: after every
-// iteration's pairing step, the per-direction histograms kept alive across
-// iterations and epochs must equal a from-scratch accumulation of every
-// vertex's current proposal, every cached probability table must equal a
-// fresh match of the from-scratch histograms, and the maintained objective
-// must equal objectiveFromND — all bit for bit. Gains here are on the
-// dyadic grid (default P), the regime where maintained sums are exact.
+// The maintained SHP-k state must be invisible: after every iteration's
+// pairing step, the neighbor data, every vertex's Equation 1 state and
+// proposal must equal a rebuild from the current assignment; the
+// per-direction histograms kept alive across iterations and epochs must
+// equal a from-scratch accumulation of every vertex's current proposal,
+// every cached probability table must equal a fresh match of the
+// from-scratch histograms, and the maintained objective must equal
+// objectiveFromND — all bit for bit. The rebuild comparison holds for any
+// gain table; the histogram and objective comparisons need gains on the
+// dyadic grid (default P, no MoveCostPenalty), the regime where maintained
+// sums are exact.
 
 // scratchPairHists accumulates the current proposals into per-direction
 // histograms from scratch, in ascending vertex order.
@@ -49,9 +53,100 @@ func sameHistBits(a, b *DirHist) bool {
 	return true
 }
 
-// checkMaintainedState compares st's maintained pairing state and objective
-// against from-scratch references.
+// checkAgainstRebuild compares st's maintained per-iteration state against
+// a rebuild from the current assignment, bit for bit: bucket loads, the
+// neighbor data (ndBuild into a fresh ndState), every vertex's static degree,
+// its Equation 1 state (rebuildVertex) and its proposal (selectProposal over
+// the rebuilt state). While the frontier is valid it must also be strictly
+// ascending and be exactly the set of marked vertices. It runs after the
+// proposal pass, when even vertices the pass skipped must hold exactly what
+// a re-evaluation would produce.
+func checkAgainstRebuild(st *directState) error {
+	g := st.g
+	bucketW := make([]int64, st.k)
+	for v, b := range st.bucket {
+		bucketW[b] += int64(g.DataWeight(int32(v)))
+	}
+	if !slices.Equal(bucketW, st.bucketW) {
+		return fmt.Errorf("bucket loads %v, recount %v", st.bucketW, bucketW)
+	}
+	fresh := newNDState(g, st.k, 1)
+	ndBuild(fresh, g, 1, st.k, st.bucket)
+	for q := int32(0); int(q) < g.NumQueries(); q++ {
+		if !slices.Equal(st.nd.seg(q), fresh.seg(q)) {
+			return fmt.Errorf("query %d: neighbor data %v, rebuild %v", q, st.nd.seg(q), fresh.seg(q))
+		}
+	}
+	if st.nd.entries != fresh.entries {
+		return fmt.Errorf("%d live neighbor-data entries, rebuild %d", st.nd.entries, fresh.entries)
+	}
+	ref := *st
+	ref.nd = fresh
+	ref.cand = make([][]proposalCand, len(st.cand))
+	ref.propBase = make([]float64, len(st.propBase))
+	s := ref.proposalScratches()[0]
+	var buf []proposalCand // one candidate buffer, handed from vertex to vertex
+	for v := range st.bucket {
+		if w := st.computeWdeg(int32(v)); !sameFloatBits(st.wdegArr[v], w) {
+			return fmt.Errorf("vertex %d: degree %v, recomputed %v", v, st.wdegArr[v], w)
+		}
+		ref.cand[v] = buf[:0]
+		ref.rebuildVertex(s, v)
+		buf = ref.cand[v]
+		if !sameFloatBits(st.propBase[v], ref.propBase[v]) {
+			return fmt.Errorf("vertex %d: base %v, rebuild %v", v, st.propBase[v], ref.propBase[v])
+		}
+		if !sameCands(st.cand[v], ref.cand[v]) {
+			return fmt.Errorf("vertex %d: candidates %v, rebuild %v", v, st.cand[v], ref.cand[v])
+		}
+		tgt, gain := ref.selectProposal(v)
+		if st.target[v] != tgt || !sameFloatBits(st.gains[v], gain) {
+			return fmt.Errorf("vertex %d: proposal (%d, %v), re-selected (%d, %v)", v, st.target[v], st.gains[v], tgt, gain)
+		}
+	}
+	if st.frontierValid {
+		marked := 0
+		for _, a := range st.active {
+			if a != 0 {
+				marked++
+			}
+		}
+		for i, v := range st.frontier {
+			if i > 0 && st.frontier[i-1] >= v {
+				return fmt.Errorf("frontier not strictly ascending at %d: %d then %d", i, st.frontier[i-1], v)
+			}
+			if st.active[v] == 0 {
+				return fmt.Errorf("frontier vertex %d is unmarked", v)
+			}
+		}
+		if marked != len(st.frontier) {
+			return fmt.Errorf("%d marked vertices, frontier holds %d", marked, len(st.frontier))
+		}
+	}
+	return nil
+}
+
+func sameFloatBits(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }
+
+func sameCands(a, b []proposalCand) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if a[i].b != b[i].b || a[i].refs != b[i].refs || !sameFloatBits(a[i].acc, b[i].acc) {
+			return false
+		}
+	}
+	return true
+}
+
+// checkMaintainedState compares st's maintained state — the rebuild
+// comparison above, the pairing state, and the objective — against
+// from-scratch references.
 func checkMaintainedState(st *directState) error {
+	if err := checkAgainstRebuild(st); err != nil {
+		return err
+	}
 	ph := st.pairs
 	for v := range st.bucket {
 		want := int32(-1)
@@ -108,16 +203,24 @@ func checkMaintainedState(st *directState) error {
 	return nil
 }
 
-// withStateCheck installs the per-iteration check for the duration of fn
-// and returns how many iterations it inspected.
-func withStateCheck(t *testing.T, fn func()) int {
+// withStateCheck installs checkMaintainedState as the per-iteration check
+// for the duration of fn and returns how many iterations it inspected.
+func withStateCheck(t testing.TB, fn func()) int {
+	t.Helper()
+	return withIterCheck(t, checkMaintainedState, fn)
+}
+
+// withIterCheck installs check as the per-iteration hook for the duration
+// of fn, fails t with the first error it reports, and returns how many
+// iterations it inspected.
+func withIterCheck(t testing.TB, check func(*directState) error, fn func()) int {
 	t.Helper()
 	checked := 0
 	var failure error
 	iterHook = func(st *directState) {
 		checked++
 		if failure == nil {
-			if err := checkMaintainedState(st); err != nil {
+			if err := check(st); err != nil {
 				failure = fmt.Errorf("iteration check %d: %w", checked, err)
 			}
 		}
@@ -157,7 +260,7 @@ func TestMaintainedPairingMatchesScratchCold(t *testing.T) {
 	}{
 		{"k8", Options{K: 8}},
 		{"k8Simple", Options{K: 8, Pairing: PairSimple}},
-		{"k8Full", Options{K: 8, DisableIncremental: true}},
+		{"k8Full", Options{K: 8, NDRebuildEvery: 1}},
 		{"k8Rebuild", Options{K: 8, NDRebuildEvery: 3}},
 		{"k8Fanout", Options{K: 8, Objective: ObjFanout}},
 		{"k8CliqueNet", Options{K: 8, Objective: ObjCliqueNet}},

@@ -18,7 +18,7 @@ import (
 func TestRootShortcutMatchesInducedPath(t *testing.T) {
 	for _, branching := range []int{2, 4} {
 		for seed := uint64(1); seed <= 2; seed++ {
-			session := largeRandomBipartite(t, seed, 1500, 3000, 12000)
+			session := randomBipartite(t, seed, 1500, 3000, 12000)
 			r := rng.New(seed)
 			for round := 0; round < 3; round++ {
 				d := hypergraph.NewDelta(session.NumQueries(), session.NumData())

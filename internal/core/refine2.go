@@ -47,8 +47,8 @@ import (
 //
 // All patch arithmetic lives on the shared dyadic grid, so the patched and
 // rebuilt states are bit-identical, and the engine is pinned byte-identical
-// to Options.DisableIncremental (full per-iteration gain recomputation) —
-// the same guarantee the direct engine carries.
+// to Options.NDRebuildEvery: 1 (a from-scratch recount and gain rebuild
+// every iteration) — the same guarantee the direct engine carries.
 type bisection struct {
 	g    *hypergraph.Bipartite
 	opts Options
@@ -72,9 +72,8 @@ type bisection struct {
 	n    []uint64 // per-query packed side counts (see sideTransfer)
 	w    [2]int64 // side weights
 
-	// Incremental-engine state (nil when Options.DisableIncremental):
-	// accOwn/accOth are the per-vertex patchable Equation 1 accumulators;
-	// active holds each vertex's pending work (activeRebuild for movers and
+	// Incremental-engine state: accOwn/accOth are the per-vertex patchable
+	// Equation 1 accumulators; active holds each vertex's pending work (activeRebuild for movers and
 	// full sweeps, activeSelect for patched accumulators); d holds each
 	// dirty query's net side-1 count delta for the current batch, dirtyQ
 	// the touched queries in first-touch order (deduped by dirtyFlag);
@@ -103,15 +102,12 @@ type bisection struct {
 	// walk it instead of scanning all of |D|; sweep fallbacks invalidate it
 	// (the marks then cover everyone). frontWork holds the per-worker
 	// collection buffers, frontScratch the radix-sort ping-pong buffer.
-	// Maintained only on the incremental path.
 	frontier      []int32
 	frontierValid bool
 	frontWork     [][]int32
 	frontScratch  []int32
 
-	// bins is the maintained gain-bin structure (see gainbins.go), kept on
-	// BOTH paths — the histogram sums must come from the same float
-	// operation sequence for the paths to stay bit-identical.
+	// bins is the maintained gain-bin structure (see gainbins.go).
 	bins *gainBins
 
 	// Reusable per-iteration scratch for the probabilistic move protocol:
@@ -186,14 +182,12 @@ func newBisection(g *hypergraph.Bipartite, opts Options, seed uint64, level, tas
 	// order and keeps a single shard. Keyed off opts alone, never workers.
 	b.bins = newGainBins(nd, opts.Pairing != PairExact)
 	b.n = make([]uint64, nq)
-	if !opts.DisableIncremental {
-		b.accOwn = make([]float64, nd)
-		b.accOth = make([]float64, nd)
-		b.active = make([]uint8, nd)
-		b.d = make([]int32, nq)
-		b.dirtyFlag = make([]uint8, nq)
-		b.allActive = true // fresh state: everything needs evaluation
-	}
+	b.accOwn = make([]float64, nd)
+	b.accOth = make([]float64, nd)
+	b.active = make([]uint8, nd)
+	b.d = make([]int32, nq)
+	b.dirtyFlag = make([]uint8, nq)
+	b.allActive = true // fresh state: everything needs evaluation
 	if g.QueryWeighted() {
 		b.qw = make([]float64, nq)
 		for q := range b.qw {
@@ -310,15 +304,6 @@ func (b *bisection) recountNeighborData() {
 	})
 }
 
-// transferCounts folds one already-flipped mover's ±1 transfers into the
-// packed side counts.
-func (b *bisection) transferCounts(v int32) {
-	t := sideTransfer[b.side[v]]
-	for _, q := range b.g.DataNeighbors(v) {
-		b.n[q] += t
-	}
-}
-
 // rebuildGain resums vertex v's Equation 1 accumulators from the current
 // side counts and derives the gain. All terms are grid values, so the
 // resummation lands on the same bits as any sequence of patches arriving at
@@ -353,8 +338,8 @@ func (b *bisection) rebuildGain(v int32) int64 {
 
 // deriveGain turns vertex v's cached accumulators into its move gain:
 // Equation 1 plus the incremental-update penalty. Grid-exact sums make
-// accOwn − accOth equal, bit for bit, to the interleaved single-pass
-// summation the full path performs.
+// accOwn − accOth equal, bit for bit, to freshGain's interleaved
+// single-pass summation.
 func (b *bisection) deriveGain(v int32) {
 	g := b.tables[0].mult * (b.accOwn[v] - b.accOth[v])
 	if b.opts.MoveCostPenalty > 0 && b.home != nil && b.home[v] >= 0 {
@@ -367,26 +352,14 @@ func (b *bisection) deriveGain(v int32) {
 	b.gains[v] = g
 }
 
-// computeGains brings every vertex's Equation 1 gain up to date. On the
-// full path (DisableIncremental) every vertex re-walks its membership each
-// iteration. On the incremental path only flagged vertices do anything:
-// movers (and full sweeps) resum their accumulators, patched vertices
-// re-derive the gain from the already-exact accumulators, and untouched
-// vertices keep their cached gain — which is bit-identical to what a
-// recomputation would produce, because none of its inputs changed.
+// computeGains brings every vertex's Equation 1 gain up to date. Only
+// flagged vertices do anything: movers (and full sweeps) resum their
+// accumulators, patched vertices re-derive the gain from the already-exact
+// accumulators, and untouched vertices keep their cached gain — which is
+// bit-identical to what a recomputation would produce, because none of its
+// inputs changed.
 func (b *bisection) computeGains() {
 	nd := b.g.NumData()
-	if b.active == nil {
-		// Full path: one interleaved Equation 1 pass per vertex.
-		par.For(nd, b.workers, func(start, end int) {
-			for v := start; v < end; v++ {
-				b.gains[v] = b.freshGain(int32(v))
-			}
-		})
-		b.gainWork += 2 * int64(b.g.NumEdges())
-		b.lastFrontier = int64(nd)
-		return
-	}
 	var work int64
 	if !b.allActive && b.frontierValid {
 		// Frontier mode: the flagged vertices are exactly the frontier, so
@@ -427,16 +400,16 @@ func (b *bisection) computeGains() {
 }
 
 // syncBins reconciles the maintained gain bins with the current (side,
-// gain) state, after computeGains and before any consumer. Both paths
-// apply the same canonical changed-only update rule in ascending vertex
-// order within each bin shard (see gainbins.go); only how the candidate
-// set is discovered differs — comparison scan over everyone, or the
-// frontier. Shards are disjoint vertex ranges, so the parallel sweep is
-// lock-free, and the per-shard update sequences are identical for every
+// gain) state, after computeGains and before any consumer. Full sweeps and
+// frontier passes apply the same canonical changed-only update rule in
+// ascending vertex order within each bin shard (see gainbins.go); only how
+// the candidate set is discovered differs — comparison scan over everyone,
+// or the frontier. Shards are disjoint vertex ranges, so the parallel sweep
+// is lock-free, and the per-shard update sequences are identical for every
 // worker count (workers only decide who processes which shards).
 func (b *bisection) syncBins() {
 	nd := b.g.NumData()
-	if b.active == nil || b.allActive || !b.frontierValid {
+	if b.allActive || !b.frontierValid {
 		par.For(b.bins.shards, b.workers, func(s, e int) {
 			for sh := s; sh < e; sh++ {
 				lo, hi := b.bins.shardRange(sh)
@@ -512,11 +485,10 @@ func (b *bisection) run() []int8 {
 	if nd == 0 {
 		return b.side
 	}
-	incremental := b.active != nil
 	rebuildEvery := b.opts.NDRebuildEvery
 	for iter := 0; iter < b.maxIters; iter++ {
 		b.allActive = iter == 0
-		if incremental && rebuildEvery > 0 && iter > 0 && iter%rebuildEvery == 0 {
+		if rebuildEvery > 0 && iter > 0 && iter%rebuildEvery == 0 {
 			// Safety net: recompute the maintained counts from scratch and
 			// re-evaluate everything. Never changes results.
 			b.recountNeighborData()
@@ -526,7 +498,7 @@ func (b *bisection) run() []int8 {
 		b.computeGains()
 		var moved int64
 		if b.opts.Pairing == PairExact {
-			moved = b.applyExact(iter)
+			moved = b.applyExact()
 		} else {
 			moved = b.applyProbabilistic(iter)
 		}
@@ -699,26 +671,18 @@ func (b *bisection) applyProbabilistic(iter int) int64 {
 	// Phase 3: neighbor-count updates for surviving moves. Batches past the
 	// sweep-fallback size recount every query's counts (parallel, query-
 	// centric, O(|E|) like the rebuild sweep scheduled with it). Smaller
-	// batches on the incremental path go through the patch collector
-	// (counts, net deltas, dirty queries, member patches — O(churn·deg),
-	// owner-sharded in parallel past a size gate); on the full path they
-	// transfer their counts directly.
-	switch {
-	case len(accepted)*sweepFallbackDiv >= nd:
+	// batches go through the patch collector (counts, net deltas, dirty
+	// queries, member patches — O(churn·deg), owner-sharded in parallel past
+	// a size gate).
+	if len(accepted)*sweepFallbackDiv >= nd {
 		b.recountNeighborData()
-		if b.active != nil {
-			for i := range b.active {
-				b.active[i] = activeRebuild
-			}
-			b.frontierValid = false
+		for i := range b.active {
+			b.active[i] = activeRebuild
 		}
-	case b.active != nil:
+		b.frontierValid = false
+	} else {
 		b.applyBatchPatched(accepted)
 		b.finishPatch(accepted)
-	default:
-		for _, v := range accepted {
-			b.transferCounts(v)
-		}
 	}
 	return int64(len(accepted))
 }
@@ -991,9 +955,8 @@ func (b *bisection) discardPatch() {
 }
 
 // freshGain recomputes vertex v's Equation 1 gain from the current counts
-// (as opposed to the batch gains computed at the start of the iteration).
-// This is both the full path's per-vertex evaluation and the exact
-// pairing's mid-batch re-check.
+// (as opposed to the batch gains computed at the start of the iteration):
+// the exact pairing's mid-batch re-check.
 func (b *bisection) freshGain(v int32) float64 {
 	cur := b.side[v]
 	tCur := b.tables[cur].T
@@ -1024,9 +987,8 @@ func (b *bisection) freshGain(v int32) float64 {
 }
 
 // moveExact applies one move, maintaining counts and weights immediately
-// (the exact pairing interleaves moves with fresh gain reads) and, on the
-// incremental path, the same net-delta bookkeeping the patched batch
-// collector keeps.
+// (the exact pairing interleaves moves with fresh gain reads) along with the
+// same net-delta bookkeeping the patched batch collector keeps.
 func (b *bisection) moveExact(v int32) {
 	cur := b.side[v]
 	oth := 1 - cur
@@ -1034,12 +996,8 @@ func (b *bisection) moveExact(v int32) {
 	wv := int64(b.g.DataWeight(v))
 	b.w[cur] -= wv
 	b.w[oth] += wv
-	if b.active != nil {
-		b.applyMovePatched(v)
-		b.lastMoved = append(b.lastMoved, v)
-		return
-	}
-	b.transferCounts(v)
+	b.applyMovePatched(v)
+	b.lastMoved = append(b.lastMoved, v)
 }
 
 // applyExact runs the "ideal serial implementation" the paper describes as
@@ -1060,8 +1018,7 @@ func (b *bisection) moveExact(v int32) {
 // The batch size is only known at the end, so net deltas are always
 // collected (two int adds per transfer) and either diffed into patches or
 // discarded in favor of the sweep, depending on the realized moved count.
-func (b *bisection) applyExact(iter int) int64 {
-	_ = iter
+func (b *bisection) applyExact() int64 {
 	b.lastMoved = b.lastMoved[:0] // repopulated by moveExact
 	b.syncBins()
 	cur0 := newBinCursor(b.bins, b.gains, 0)
@@ -1117,12 +1074,10 @@ func (b *bisection) applyExact(iter int) int64 {
 		}
 	}
 	b.scanWork += cur0.work + cur1.work
-	if b.active != nil {
-		if int(moved)*sweepFallbackDiv < b.g.NumData() {
-			b.finishPatch(b.lastMoved)
-		} else {
-			b.discardPatch()
-		}
+	if int(moved)*sweepFallbackDiv < b.g.NumData() {
+		b.finishPatch(b.lastMoved)
+	} else {
+		b.discardPatch()
 	}
 	return moved
 }

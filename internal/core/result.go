@@ -30,8 +30,9 @@ type IterStats struct {
 }
 
 // WorkStats records one refinement iteration's work-counter deltas — the
-// observability companion to IterStats, kept separate so the incremental and
-// DisableIncremental paths can stay byte-identical on IterStats while
+// observability companion to IterStats, kept separate so runs with different
+// rebuild schedules (the default against the from-scratch reference,
+// Options.NDRebuildEvery: 1) can stay byte-identical on IterStats while
 // legitimately differing here (sublinear frontier work is the whole point).
 type WorkStats struct {
 	// Level/Task/Iter locate the iteration exactly like IterStats.
@@ -39,7 +40,8 @@ type WorkStats struct {
 	Task  int
 	Iter  int
 	// Frontier is the number of vertices the iteration's gain pass visited
-	// (|D| on the full path or after a sweep fallback).
+	// (|D| on the first iteration, after a sweep fallback, and on rebuild
+	// iterations).
 	Frontier int64
 	// GainWork counts Equation 1 work units: one per table term summed in a
 	// gain rebuild, one per delta record folded into an accumulator.
@@ -61,7 +63,7 @@ type Result struct {
 	// History holds per-iteration statistics ordered by (Level, Task, Iter).
 	History []IterStats
 	// Work holds per-iteration work counters, ordered like History. Unlike
-	// History it is NOT pinned across the incremental/full paths.
+	// History it is NOT pinned across rebuild schedules.
 	Work []WorkStats
 	// Elapsed is the wall-clock partitioning time.
 	Elapsed time.Duration

@@ -11,17 +11,25 @@ import (
 
 // The session contract: Apply + Repartition must behave like one long
 // refinement over a changing graph — the incremental engine stays exact
-// across epochs (byte-identical to the full-rebuild ablation), new vertices
-// get placed, balance holds, and the graph stays Validate-clean.
+// across epochs, new vertices get placed, balance holds, and the graph
+// stays Validate-clean.
+//
+// Exactness is checked two ways. Each session runs next to a reference
+// session with NDRebuildEvery: 1, which rebuilds from scratch on every
+// iteration after the first; both must give byte-identical assignments and
+// histories. But an epoch's first iteration runs on the state syncEngine
+// spliced in place on both sides, so the epochs also run under the
+// per-iteration rebuild oracle (checkAgainstRebuild), which compares the
+// maintained state with a rebuild on every iteration, the first included.
 
-// sessionPair builds two sessions over clones of the same graph with only
-// DisableIncremental flipped, plus matching churn generators.
+// sessionPair builds a session and its NDRebuildEvery: 1 reference over
+// clones of the same graph, plus matching churn generators.
 func sessionPair(t *testing.T, opts Options, churn float64) (*Session, *Session, *gen.Churn, *gen.Churn) {
 	t.Helper()
 	g1 := randomBipartite(t, 91, 900, 3000, 13000)
 	g2 := g1.Clone()
 	full := opts
-	full.DisableIncremental = true
+	full.NDRebuildEvery = 1
 	s1, err := NewSession(g1, opts)
 	if err != nil {
 		t.Fatal(err)
@@ -45,6 +53,11 @@ func sessionPair(t *testing.T, opts Options, churn float64) (*Session, *Session,
 }
 
 func runSessionEpochs(t *testing.T, s1, s2 *Session, c1, c2 *gen.Churn, epochs int) {
+	t.Helper()
+	withIterCheck(t, checkAgainstRebuild, func() { sessionEpochs(t, s1, s2, c1, c2, epochs) })
+}
+
+func sessionEpochs(t *testing.T, s1, s2 *Session, c1, c2 *gen.Churn, epochs int) {
 	t.Helper()
 	for epoch := 0; epoch < epochs; epoch++ {
 		d1, err := c1.Next()
@@ -76,11 +89,11 @@ func runSessionEpochs(t *testing.T, s1, s2 *Session, c1, c2 *gen.Churn, epochs i
 					diff++
 				}
 			}
-			t.Fatalf("epoch %d: incremental and full assignments differ at %d/%d vertices",
+			t.Fatalf("epoch %d: session and reference assignments differ at %d/%d vertices",
 				epoch, diff, len(r1.Assignment))
 		}
 		if !reflect.DeepEqual(r1.History, r2.History) {
-			t.Fatalf("epoch %d: histories diverge:\nincremental %+v\nfull        %+v",
+			t.Fatalf("epoch %d: histories diverge:\nsession   %+v\nreference %+v",
 				epoch, r1.History, r2.History)
 		}
 		if err := s1.Graph().Validate(); err != nil {
@@ -111,9 +124,9 @@ func TestSessionIncrementalMatchesFullWithPenalty(t *testing.T) {
 
 // TestSessionIncrementalMatchesFullOffGrid covers warm sessions whose gains
 // leave the dyadic grid — a non-dyadic P, alone and with a move-cost
-// penalty — where the maintained pair-histogram sums are not exact: both
-// engine paths must still apply the one canonical update sequence and stay
-// byte-identical across churned epochs.
+// penalty — where the maintained pair-histogram sums are not exact: the
+// session and its reference must still apply the one canonical update
+// sequence and stay byte-identical across churned epochs.
 func TestSessionIncrementalMatchesFullOffGrid(t *testing.T) {
 	for _, opts := range []Options{
 		{K: 8, Direct: true, Seed: 6, P: 0.3},
@@ -132,7 +145,7 @@ func TestSessionWeightAndDataDeltas(t *testing.T) {
 	g2 := g1.Clone()
 	opts := Options{K: 6, Direct: true, Seed: 9}
 	full := opts
-	full.DisableIncremental = true
+	full.NDRebuildEvery = 1
 	s1, err := NewSession(g1, opts)
 	if err != nil {
 		t.Fatal(err)
@@ -141,38 +154,40 @@ func TestSessionWeightAndDataDeltas(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for epoch := 0; epoch < 3; epoch++ {
-		build := func(s *Session) *hypergraph.Delta {
-			d := s.NewDelta()
-			v := d.AddData(2)
-			w := d.AddData(1)
-			d.AddHyperedge(v, w, int32(epoch*7), int32(epoch*11+3))
-			d.AddHyperedge(v, int32(epoch*5+1))
-			d.RemoveHyperedge(int32(epoch * 13))
-			d.SetDataWeight(int32(epoch*17+2), int32(2+epoch))
-			return d
+	withIterCheck(t, checkAgainstRebuild, func() {
+		for epoch := 0; epoch < 3; epoch++ {
+			build := func(s *Session) *hypergraph.Delta {
+				d := s.NewDelta()
+				v := d.AddData(2)
+				w := d.AddData(1)
+				d.AddHyperedge(v, w, int32(epoch*7), int32(epoch*11+3))
+				d.AddHyperedge(v, int32(epoch*5+1))
+				d.RemoveHyperedge(int32(epoch * 13))
+				d.SetDataWeight(int32(epoch*17+2), int32(2+epoch))
+				return d
+			}
+			if err := s1.Apply(build(s1)); err != nil {
+				t.Fatal(err)
+			}
+			if err := s2.Apply(build(s2)); err != nil {
+				t.Fatal(err)
+			}
+			r1, err := s1.Repartition()
+			if err != nil {
+				t.Fatal(err)
+			}
+			r2, err := s2.Repartition()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(r1.Assignment, r2.Assignment) || !reflect.DeepEqual(r1.History, r2.History) {
+				t.Fatalf("epoch %d: session and reference diverged on mixed deltas", epoch)
+			}
+			if err := s1.Graph().Validate(); err != nil {
+				t.Fatal(err)
+			}
 		}
-		if err := s1.Apply(build(s1)); err != nil {
-			t.Fatal(err)
-		}
-		if err := s2.Apply(build(s2)); err != nil {
-			t.Fatal(err)
-		}
-		r1, err := s1.Repartition()
-		if err != nil {
-			t.Fatal(err)
-		}
-		r2, err := s2.Repartition()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(r1.Assignment, r2.Assignment) || !reflect.DeepEqual(r1.History, r2.History) {
-			t.Fatalf("epoch %d: engines diverged on mixed deltas", epoch)
-		}
-		if err := s1.Graph().Validate(); err != nil {
-			t.Fatal(err)
-		}
-	}
+	})
 }
 
 func TestSessionPlacesNewVertices(t *testing.T) {

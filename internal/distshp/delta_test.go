@@ -1,9 +1,9 @@
 package distshp
 
 // Tests of the incremental (dirty-query delta) message plane: pinned
-// equivalence against the full-rebroadcast path, patched-vs-rebuilt
-// accumulator properties through real codec round-trips, and the
-// churn-proportional traffic claim itself.
+// equivalence against the full-rebroadcast reference (RebuildEvery: 1),
+// patched-vs-rebuilt accumulator properties through real codec
+// round-trips, and the churn-proportional traffic claim itself.
 
 import (
 	"reflect"
@@ -40,7 +40,7 @@ func requireSameResult(t *testing.T, label string, a, b *Result) {
 }
 
 // TestDistIncrementalMatchesFull pins the dirty-query delta plane
-// byte-identical to the full-rebroadcast path (DisableIncremental) across
+// byte-identical to the full-rebroadcast reference (RebuildEvery: 1) across
 // both transports and multiple seeds: same assignments, same per-iteration
 // moved counts, bitwise-equal fanout history.
 func TestDistIncrementalMatchesFull(t *testing.T) {
@@ -64,7 +64,7 @@ func TestDistIncrementalMatchesFull(t *testing.T) {
 				t.Fatal(err)
 			}
 			opts.Transport = tr.make()
-			opts.DisableIncremental = true
+			opts.RebuildEvery = 1
 			full, err := Partition(g, opts)
 			if err != nil {
 				t.Fatal(err)
@@ -300,7 +300,7 @@ func TestDistDeltaCutsLateSuperstepBytes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	opts.DisableIncremental = true
+	opts.RebuildEvery = 1
 	full, err := Partition(g, opts)
 	if err != nil {
 		t.Fatal(err)
@@ -332,8 +332,8 @@ func TestDistDeltaCutsLateSuperstepBytes(t *testing.T) {
 // superstep's per-iteration aggregator traffic is at least 3x below the
 // registration superstep's (which ships every vertex's histogram entry).
 // The aggregate stream itself is also pinned identical across the
-// incremental and full message planes: the retract/assert deltas key on
-// gains both paths compute bit-identically, so the same vertices change in
+// delta plane and the rebroadcast reference: the retract/assert deltas key
+// on gains both compute bit-identically, so the same vertices change in
 // the same supersteps either way.
 func TestDistChangedOnlyProposalBytes(t *testing.T) {
 	communities, perCommunity, queries, qdeg := 4, 200, 900, 6
@@ -346,7 +346,7 @@ func TestDistChangedOnlyProposalBytes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	opts.DisableIncremental = true
+	opts.RebuildEvery = 1
 	full, err := Partition(g, opts)
 	if err != nil {
 		t.Fatal(err)

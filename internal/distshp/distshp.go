@@ -17,7 +17,7 @@
 //
 // # The incremental message plane
 //
-// By default superstep 1 ships work proportional to churn, not to |E|: the
+// Superstep 1 ships work proportional to churn, not to |E|: the
 // same dirty-query delta scheme the in-process engine uses (core/direct.go),
 // pushed across superstep message boundaries.
 //
@@ -35,13 +35,16 @@
 //     because the mover broadcast its new bucket — and resum from scratch.
 //   - All gain-table values live on the shared dyadic grid (core's
 //     gainGridBits), so patched accumulators land bit-for-bit on the same
-//     floats a full resummation produces, in any order: the incremental and
-//     full paths yield byte-identical partitions and histories.
+//     floats a full resummation produces, in any order: patched and
+//     rebroadcast iterations yield byte-identical partitions and histories.
 //   - The master mirrors the in-process engine's two escape hatches: when an
 //     iteration moves more than 1/rebuildFallbackDiv of the vertices, the
 //     next superstep 1 is a full rebroadcast (patching would cost more than
 //     a sweep), and every Options.RebuildEvery iterations a safety-net full
 //     rebroadcast re-derives every accumulator from the histograms.
+//     Options.RebuildEvery: 1 rebroadcasts every iteration — the paper's
+//     per-iteration r = 2 neighbor-data reduction, and the from-scratch
+//     reference the delta plane is pinned byte-identical against.
 //
 // # The changed-only proposal plane
 //
@@ -56,13 +59,9 @@
 // over the persistent state each iteration, and resets it at level start —
 // where every vertex re-registers from scratch. Late supersteps therefore
 // ship proposal traffic proportional to the moving frontier, while
-// full-rebroadcast iterations (sweep fallback, RebuildEvery safety net,
-// DisableIncremental) recompute every gain — verifying the maintained
-// proposal state — but still ship only the changes, so the maintained and
-// recomputed regimes stay byte-identical.
-//
-// Options.DisableIncremental restores the full per-iteration rebroadcast:
-// every query re-sends every member's msgGain contribution each iteration.
+// full-rebroadcast iterations (sweep fallback, RebuildEvery) recompute
+// every gain — verifying the maintained proposal state — but still ship only
+// the changes, so the maintained and recomputed regimes stay byte-identical.
 //
 // Recursive levels are scheduled by the master: when a level converges
 // (moved fraction below threshold) or exhausts its iterations, every data
@@ -120,19 +119,15 @@ type Options struct {
 	// then counts as freshly updated, so it also implies full per-iteration
 	// gain rebroadcasts.
 	DisableDirtyOnly bool
-	// DisableIncremental turns off the dirty-query delta plane: superstep 1
-	// rebroadcasts every member's full gain contribution each iteration
-	// instead of patching persistent accumulators with per-bucket count
-	// diffs. Both paths produce byte-identical partitions and histories for
-	// a fixed seed; this is an ablation/debugging knob, not a quality
-	// trade-off.
-	DisableIncremental bool
 	// RebuildEvery is the period, in refinement iterations within a level,
 	// of the incremental plane's safety-net full gain rebroadcast (the
 	// rebroadcast re-derives exactly the maintained accumulators, so it
 	// never changes results — it bounds the blast radius of any future
 	// maintenance bug). 0 means the default of 64 (mirroring the in-process
 	// engine's NDRebuildEvery); negative disables the safety net.
+	// RebuildEvery: 1 is the from-scratch reference: superstep 1
+	// rebroadcasts every member's full gain contribution every iteration,
+	// with byte-identical partitions and histories for a fixed seed.
 	RebuildEvery int
 	// Checkpointer stores superstep snapshots for worker-failure recovery
 	// (nil means an in-process store, pregel.NewMemoryCheckpointer; use
@@ -480,11 +475,11 @@ func (st *queryState) register(level, degree int) {
 }
 
 // applyUpdate folds one bucket update into the neighbor data. members is
-// the query's sorted adjacency list. When track is set (the incremental
-// plane), the pre-superstep segment is snapshotted on first touch and the
-// updating member is flagged as a mover, so deltaRecords can diff the net
-// per-bucket changes and the send loop can route full contributions to
-// movers only.
+// the query's sorted adjacency list. When track is set (every iteration but
+// a rebroadcast), the pre-superstep segment is snapshotted on first touch
+// and the updating member is flagged as a mover, so deltaRecords can diff
+// the net per-bucket changes and the send loop can route full contributions
+// to movers only.
 func (st *queryState) applyUpdate(members []int32, mb msgBucket, track bool) {
 	i, ok := slices.BinarySearch(members, mb.Data)
 	if !ok {
@@ -801,11 +796,9 @@ func Partition(g *hypergraph.Bipartite, opts Options) (*Result, error) {
 			// iteration: a sweep fallback when patching would cost more than
 			// a rebroadcast, and a periodic safety-net rebroadcast. Both
 			// regimes produce identical bits, so these are pure perf knobs.
-			if !opts.DisableIncremental {
-				sched.rebuildNext = moved*rebuildFallbackDiv >= int64(numD)
-				if opts.RebuildEvery > 0 && sched.iter%opts.RebuildEvery == 0 {
-					sched.rebuildNext = true
-				}
+			sched.rebuildNext = moved*rebuildFallbackDiv >= int64(numD)
+			if opts.RebuildEvery > 0 && sched.iter%opts.RebuildEvery == 0 {
+				sched.rebuildNext = true
 			}
 			if sched.iter >= opts.ItersPerLevel || frac < opts.MinMoveFraction {
 				sched.level++
@@ -1044,10 +1037,10 @@ func directionKey(bucket int32) uint64 {
 // On the incremental plane a dirty query sends a full msgGain contribution
 // to each member that moved (it is rebuilding) and canonical (bucket, cOld,
 // cNew) delta records to each clean member whose sibling pair contains a
-// changed bucket; clean queries send nothing. With the plane disabled — or
-// on a master-scheduled rebroadcast iteration — every query sends every
-// member its full contribution, exactly the paper's per-iteration r = 2
-// neighbor-data reduction.
+// changed bucket; clean queries send nothing. On a master-scheduled
+// rebroadcast iteration every query sends every member its full
+// contribution, exactly the paper's per-iteration r = 2 neighbor-data
+// reduction.
 func computeQuery(ctx *pregel.Context, g *hypergraph.Bipartite, st *queryState,
 	msgs []pregel.Message, opts Options, tables []core.GainTables) {
 
@@ -1058,10 +1051,7 @@ func computeQuery(ctx *pregel.Context, g *hypergraph.Bipartite, st *queryState,
 	if v := ctx.ReadAggregator("level"); v != nil {
 		level = v.(int)
 	}
-	full := opts.DisableIncremental
-	if v := ctx.ReadAggregator("rebuild"); v != nil && v.(bool) {
-		full = true
-	}
+	full, _ := ctx.ReadAggregator("rebuild").(bool)
 	members := g.QueryNeighbors(st.q)
 	if level != st.level {
 		// Level changed: rebuild from the registration messages. Every
@@ -1069,7 +1059,7 @@ func computeQuery(ctx *pregel.Context, g *hypergraph.Bipartite, st *queryState,
 		// and receives a full contribution below.
 		st.register(level, len(members))
 	}
-	// Apply the bucket updates. On the incremental path, flag the
+	// Apply the bucket updates. Unless this is a rebroadcast, flag the
 	// members that moved and snapshot the pre-superstep segment so the
 	// net per-bucket changes can be diffed out afterwards. No map is
 	// touched anywhere in this superstep: counts live in the kernel's

@@ -1,7 +1,7 @@
 // Package lint is shplint: a repo-specific static-analysis suite that
 // machine-checks the determinism contract the runtime equivalence tests
-// sample. The repo's signature guarantee — incremental == DisableIncremental,
-// patched == rebuilt, recovered == undisturbed, all byte-identical — is easy
+// sample. The repo's signature guarantee — incremental == rebuilt from
+// scratch every iteration, patched == rebuilt, recovered == undisturbed, all byte-identical — is easy
 // to break silently: one `range` over a map in a merge loop, one wall-clock
 // read in a hot path, one raw float64 += on a dyadic-grid accumulator. Each
 // analyzer here encodes one of those hazard classes so `go test ./...` (via

@@ -115,9 +115,10 @@ type Assignment = partition.Assignment
 // Options configures Partition; the zero value plus K uses the paper's
 // recommended defaults (p = 0.5, ε = 0.05, recursive bisection with
 // histogram pairing and final-p-fanout lookahead). Refinement is
-// incremental by default — per-iteration cost tracks churn, not |E| —
-// with DisableIncremental and NDRebuildEvery as ablation/safety knobs;
-// both engine paths produce identical partitions for a fixed seed.
+// incremental — per-iteration cost tracks churn, not |E|. NDRebuildEvery
+// sets the safety-net rebuild period; NDRebuildEvery: 1 rebuilds from
+// scratch every iteration, the reference the incremental engine matches
+// bit for bit for a fixed seed.
 type Options = core.Options
 
 // Result is a finished partitioning with per-iteration history.
@@ -128,8 +129,8 @@ type IterStats = core.IterStats
 
 // WorkStats records one refinement iteration's work counters: the frontier
 // the gain pass visited and the gain/scan work units spent. Unlike History,
-// Work is not pinned across the incremental and DisableIncremental paths —
-// sublinear frontier work on the incremental engine is the whole point.
+// Work is not pinned across rebuild schedules (the default against
+// NDRebuildEvery: 1) — sublinear frontier work is the whole point.
 type WorkStats = core.WorkStats
 
 // Objective selects the optimization target.
@@ -218,9 +219,11 @@ func (p *Partitioner) Result() *Result { return p.s.Result() }
 // with Options.Direct. It is a thin wrapper over a single-use Partitioner
 // session.
 //
-// Deprecated: new code should hold a Partitioner (NewPartitioner), which
-// subsumes this entry point and additionally supports dynamic graphs via
-// Apply/Repartition. Partition remains as a one-shot convenience.
+// Partition is the one-shot entry point — graph in, assignment out — that
+// cmd/shp, the examples and the integration tests use, and it stays a
+// first-class API: a static graph needs nothing more. Hold a Partitioner
+// (NewPartitioner) when the graph keeps changing, so each Repartition
+// warm-starts from the last assignment.
 func Partition(g *Hypergraph, opts Options) (*Result, error) {
 	return core.Partition(g, opts)
 }
@@ -236,9 +239,9 @@ type MultiDimResult = core.MultiDimResult
 // while balancing every dimension. The fine partition inside it runs
 // through a single-use Partitioner session.
 //
-// Deprecated: for graphs that keep evolving, partition through a
-// Partitioner session (NewPartitioner) and apply the merge step on top;
-// PartitionMultiDim remains as a one-shot convenience.
+// It is the one-shot entry point for multi-dimensional balance (used by
+// examples/multidim) and stays a first-class API: the merge step has no
+// session equivalent, so it is not a convenience wrapper.
 func PartitionMultiDim(g *Hypergraph, opts MultiDimOptions) (*MultiDimResult, error) {
 	return core.PartitionMultiDim(g, opts)
 }
